@@ -72,8 +72,9 @@ use crate::proto::{
     ErrorCode, OutcomeOk, Request, Response, ResultBody, SubmitItem, SubmitOk, WireError,
 };
 use crate::ring::{HashRing, DEFAULT_VNODES};
-use crate::scheduler::{backoff_delay, HOP_ERROR_BOUND};
+use crate::scheduler::{backoff_delay, ServiceStats, HOP_ERROR_BOUND};
 use crate::spec::{Fidelity, JobKey, JobSpec};
+use crate::store::ratio;
 use crate::wire::{ok_fields, serve_stream, WireClient};
 
 /// Tuning knobs for [`RelayServer`].
@@ -1025,18 +1026,7 @@ fn edge_brownout(relay: &Relay, key: JobKey, item: &SubmitItem) -> Option<Respon
         detail: None,
         queue_ns: Some(0),
         run_ns: Some(run_ns),
-        body: Some(ResultBody {
-            workload: result.workload.clone(),
-            mode: result.mode.clone(),
-            cycles: result.cycles,
-            messages: result.messages,
-            ipc: result.ipc,
-            latency_mean: result.latency.mean(),
-            latency_count: result.latency.count(),
-            calibrations: result.calibrations,
-            fidelity: Some(Fidelity::Hop.name().to_owned()),
-            error_bound: Some(HOP_ERROR_BOUND),
-        }),
+        body: Some(ResultBody::from_run(&result, Fidelity::Hop, HOP_ERROR_BOUND)),
     });
     {
         let mut edge = relay.edge.lock().unwrap_or_else(|e| e.into_inner());
@@ -1497,97 +1487,52 @@ fn cache_terminal_result(
         .remove(&ticket);
 }
 
+/// One backend's parsed `stats` report, or `None` when it cannot be
+/// had; a transport failure (not an open breaker) counts as a failed
+/// probe.
+fn backend_stats(relay: &Relay, pool: &mut BackendPool, node: usize) -> Option<Json> {
+    let deadline = relay.config.forward_deadline;
+    match forward(relay, pool, node, &Request::Stats, deadline) {
+        Ok(Response::Report { json }) => Json::parse(&json).ok(),
+        Ok(_) => None,
+        Err(err) => {
+            if !is_breaker_open(&err) {
+                relay.record_probe(node, Err(()));
+            }
+            None
+        }
+    }
+}
+
 /// Aggregated cluster stats: the numeric counters of every reachable
 /// backend summed, plus the relay's own counters and node tallies.
 fn relay_stats(relay: &Relay, pool: &mut BackendPool) -> Response {
-    const SUMMED: &[&str] = &[
-        "submitted",
-        "admitted",
-        "rejected",
-        "coalesced",
-        "cache_hits",
-        "completed",
-        "failed",
-        "cancelled",
-        "expired",
-        "deadline_exceeded",
-        "poisoned",
-        "retries",
-        "respawns",
-        "journal_compactions",
-        "recovered_results",
-        "resumed_jobs",
-        "queue_depth",
-        "store_hits",
-        "store_misses",
-        "insertions",
-        "evictions",
-        "shed",
-        "degraded",
-        "upgraded",
-        "upgrades_pending",
-    ];
-    let mut sums: HashMap<&str, u64> = SUMMED.iter().map(|&k| (k, 0)).collect();
-    let mut reachable = 0u64;
+    let mut sums: HashMap<&str, u64> = ServiceStats::summed().map(|name| (name, 0)).collect();
     let mut unreachable: Vec<u64> = Vec::new();
     for node in 0..relay.nodes.len() {
-        let raw = match forward(
-            relay,
-            pool,
-            node,
-            &Request::Stats,
-            relay.config.forward_deadline,
-        ) {
-            Ok(Response::Report { json }) => json,
-            Ok(_) => {
-                unreachable.push(node as u64);
-                continue;
-            }
-            Err(err) => {
-                if !is_breaker_open(&err) {
-                    relay.record_probe(node, Err(()));
-                }
-                unreachable.push(node as u64);
-                continue;
-            }
-        };
-        let Ok(response) = Json::parse(&raw) else {
+        let Some(response) = backend_stats(relay, pool, node) else {
             unreachable.push(node as u64);
             continue;
         };
-        reachable += 1;
-        for &field in SUMMED {
-            if let Some(v) = response.get(field).and_then(Json::as_u64) {
-                *sums.get_mut(field).expect("preseeded") += v;
-            }
+        for (field, sum) in &mut sums {
+            *sum += response.get(field).and_then(Json::as_u64).unwrap_or(0);
         }
     }
-    let submitted = sums["submitted"];
-    let memoized = sums["cache_hits"] + sums["coalesced"];
-    let memo_ratio = if submitted == 0 {
-        0.0
-    } else {
-        memoized as f64 / submitted as f64
-    };
-    let lookups = sums["store_hits"] + sums["store_misses"];
-    let hit_ratio = if lookups == 0 {
-        0.0
-    } else {
-        sums["store_hits"] as f64 / lookups as f64
-    };
+    let memo_ratio = ratio(sums["cache_hits"] + sums["coalesced"], sums["submitted"]);
+    let hit_ratio = ratio(sums["store_hits"], sums["store_hits"] + sums["store_misses"]);
     let alive = relay.alive_mask();
     let nodes_routable = alive.iter().filter(|a| **a).count() as u64;
     let relay_counters = relay.stats();
-    let mut fields: Vec<(&'static str, JsonField)> = SUMMED
-        .iter()
-        .map(|&k| (k, JsonField::Int(sums[k])))
+    let mut fields: Vec<(&'static str, JsonField)> = ServiceStats::summed()
+        .map(|name| (name, JsonField::Int(sums[name])))
         .collect();
     fields.push(("hit_ratio", JsonField::Num(hit_ratio)));
     fields.push(("memo_ratio", JsonField::Num(memo_ratio)));
     fields.push(("role", JsonField::Str("relay".into())));
     fields.push(("nodes", JsonField::Int(alive.len() as u64)));
     fields.push(("nodes_routable", JsonField::Int(nodes_routable)));
-    fields.push(("nodes_reporting", JsonField::Int(reachable)));
+    let reporting = (alive.len() - unreachable.len()) as u64;
+    fields.push(("nodes_reporting", JsonField::Int(reporting)));
     fields.push(("relay_submitted", JsonField::Int(relay_counters.submitted)));
     fields.push(("relay_forwards", JsonField::Int(relay_counters.forwards)));
     fields.push(("relay_retries", JsonField::Int(relay_counters.retries)));
@@ -1622,17 +1567,6 @@ fn relay_stats(relay: &Relay, pool: &mut BackendPool) -> Response {
 /// Per-node breakdown: health state, probe RTT, and each reachable
 /// backend's own headline counters, as a JSON array.
 fn relay_node_stats(relay: &Relay, pool: &mut BackendPool) -> Response {
-    const PER_NODE: &[&str] = &[
-        "submitted",
-        "completed",
-        "cache_hits",
-        "coalesced",
-        "queue_depth",
-        "shed",
-        "degraded",
-        "upgraded",
-        "brownout",
-    ];
     let mut rows = Vec::with_capacity(relay.nodes.len());
     for node in 0..relay.nodes.len() {
         let (state, failures, rtt_ns) = {
@@ -1662,38 +1596,16 @@ fn relay_node_stats(relay: &Relay, pool: &mut BackendPool) -> Response {
             ("breaker", JsonField::Str(breaker_state.name().into())),
             ("breaker_trips", JsonField::Int(breaker_trips)),
         ];
-        let mut reported = false;
-        if state.routes() {
-            match forward(
-                relay,
-                pool,
-                node,
-                &Request::Stats,
-                relay.config.forward_deadline,
-            ) {
-                Ok(Response::Report { json }) => {
-                    if let Ok(response) = Json::parse(&json) {
-                        for &field in PER_NODE {
-                            if let Some(v) = response.get(field).and_then(Json::as_u64) {
-                                fields.push((field, JsonField::Int(v)));
-                            }
-                        }
-                        reported = true;
-                    }
-                }
-                Ok(_) => {}
-                Err(err) => {
-                    if !is_breaker_open(&err) {
-                        relay.record_probe(node, Err(()));
-                    }
-                }
-            }
-        }
-        // A row that carries no counters says so explicitly: Down,
-        // breaker-open, and mid-crash backends all read as
-        // `unreachable` instead of silently thinner rows.
-        if !reported {
-            fields.push(("unreachable", JsonField::Raw("true".into())));
+        let report = state.routes().then(|| backend_stats(relay, pool, node)).flatten();
+        match report {
+            Some(response) => fields.extend(ServiceStats::per_node().filter_map(|name| {
+                let v = response.get(name).and_then(Json::as_u64)?;
+                Some((name, JsonField::Int(v)))
+            })),
+            // A row that carries no counters says so explicitly: Down,
+            // breaker-open, and mid-crash backends all read as
+            // `unreachable` instead of silently thinner rows.
+            None => fields.push(("unreachable", JsonField::Raw("true".into()))),
         }
         rows.push(json_object(&fields));
     }
@@ -2181,6 +2093,38 @@ mod tests {
         relay.stop();
         b0.stop();
         b1.stop();
+    }
+
+    #[test]
+    fn relay_stats_carry_every_summable_backend_counter() {
+        // Regression: the relay kept its own list of counters to sum,
+        // which had drifted from the backend's schema and silently
+        // dropped the speculation counters.
+        let b0 = backend(1);
+        let relay = relay_over(&[b0.addr()]);
+        let mut client = WireClient::connect(relay.addr()).unwrap();
+        let pipelined = "target=4x4 app=water mode=reciprocal:quantum=300,pipeline=on \
+                         instructions=200 budget=500000 seed=1";
+        let submit = client.submit(pipelined, None, None).unwrap();
+        let ticket = submit.get("ticket").and_then(Json::as_u64).unwrap();
+        client.result(ticket, Some(30_000)).unwrap();
+
+        let relayed = client.stats().unwrap();
+        let direct = WireClient::connect(b0.addr()).unwrap().stats().unwrap();
+        for name in ServiceStats::summed() {
+            assert_eq!(
+                relayed.get(name).and_then(Json::as_u64),
+                direct.get(name).and_then(Json::as_u64),
+                "one backend: the relay's `{name}` is the backend's"
+            );
+        }
+        let decisions = ["spec_commits", "spec_rollbacks"]
+            .iter()
+            .filter_map(|name| relayed.get(name).and_then(Json::as_u64))
+            .sum::<u64>();
+        assert!(decisions > 0, "the pipelined run speculated: {relayed:?}");
+        relay.stop();
+        b0.stop();
     }
 
     #[test]

@@ -76,6 +76,7 @@ pub mod journal;
 pub mod proto;
 pub mod json;
 pub mod ring;
+mod sched_core;
 pub mod scheduler;
 pub mod spec;
 pub mod store;

@@ -19,8 +19,10 @@
 //! clients) and the offending `verb` — see [`WireError`].
 
 use ra_bench::{json_object, JsonField};
+use ra_cosim::RunResult;
 
 use crate::json::Json;
+use crate::spec::Fidelity;
 
 /// Most items a single `*_batch` request may carry. Bounds worst-case
 /// memory per request; large workloads chunk client-side.
@@ -682,6 +684,23 @@ fn decode_body(json: &Json) -> Option<ResultBody> {
 }
 
 impl ResultBody {
+    /// The wire view of one run, tagged with the fidelity rung that
+    /// produced it and that rung's error bound.
+    pub fn from_run(result: &RunResult, fidelity: Fidelity, error_bound: f64) -> ResultBody {
+        ResultBody {
+            workload: result.workload.clone(),
+            mode: result.mode.clone(),
+            cycles: result.cycles,
+            messages: result.messages,
+            ipc: result.ipc,
+            latency_mean: result.latency.mean(),
+            latency_count: result.latency.count(),
+            calibrations: result.calibrations,
+            fidelity: Some(fidelity.name().to_owned()),
+            error_bound: Some(error_bound),
+        }
+    }
+
     /// The `result` sub-object, field order identical to the pre-v2 wire;
     /// the fidelity pair is appended at the end, and only when present,
     /// so untagged bodies re-encode byte-identically.

@@ -1,89 +1,56 @@
-//! Job scheduling: bounded admission, priorities, deadlines, a fixed
-//! worker pool, single-flight coalescing, cooperative cancellation,
-//! crash-safe journaling, and a self-healing worker supervisor.
+//! Job scheduling: the public vocabulary of the job service and the
+//! thread shell around its scheduler core.
 //!
-//! # Admission and backpressure
+//! # Structure
 //!
-//! The queue is bounded ([`ServeConfig::queue_capacity`]). A submission
-//! that would overflow it is *rejected at the door* with
-//! [`Rejected::QueueFull`] — an explicit signal the client can see and
-//! retry on — never silently dropped or unboundedly buffered. Every
-//! rejection also emits [`Event::JobRejected`], so a trace with a
-//! `job_rejected` line is the ground truth for "the service shed load".
+//! Every scheduling *decision* lives in the private `sched_core` module:
+//! a pure state machine (no clock, no lock, no I/O) that owns the queue,
+//! the single-flight map, tickets, strikes and backoff gates, deadlines,
+//! quota and brownout planning, fidelity floors, upgrade debt, and the
+//! error-bound choice, and that lists the effects it wants as ordered
+//! actions. This module is the *shell*: [`JobService`], the worker
+//! supervisor, and the deadline reaper take the one state lock, read the
+//! one clock, call the core, perform its actions in order while still
+//! holding the lock, and run the simulation itself outside it. The
+//! core's module docs state the two ordering rules this buys (admit
+//! before any pop, settle before compaction); DESIGN.md's service-layer
+//! section carries the full behavioural prose.
 //!
-//! # Single-flight coalescing
+//! # Behaviour, in one paragraph each
 //!
-//! Identical jobs (same [`JobKey`]) are *coalesced*: the first
-//! submission enqueues a run; later submissions while it is queued or
-//! running attach to the same in-flight entry and share its outcome. N
-//! concurrent submissions of one spec cost one simulation. Completed
-//! results land in the [`ResultStore`], so later resubmissions are
-//! cache hits without any scheduling at all.
+//! **Admission.** The queue is bounded ([`ServeConfig::queue_capacity`]);
+//! overflow is an explicit [`Rejected::QueueFull`] plus a `job_rejected`
+//! event, never a silent drop. Identical jobs (same [`JobKey`]) are
+//! *single-flighted* onto one run, and finished results are memo hits.
 //!
-//! # Cancellation and deadlines
+//! **Cancellation and deadlines.** Each job owns a flag handed to
+//! [`RunSpec::cancel_flag`], polled by the engine every 512 cycles.
+//! Cancellation is interest-counted: only the last interested ticket
+//! raises the flag (or tombstones a queued entry). A deadline bounds the
+//! job's whole life: [`JobOutcome::DeadlineExpired`] if it never ran,
+//! [`JobOutcome::DeadlineExceeded`] if the reaper had to stop it.
 //!
-//! Cancellation reuses the run-loop watchdog plumbing: each job owns an
-//! `Arc<AtomicBool>` handed to [`RunSpec::cancel_flag`], which the
-//! full-system engine polls every 512 cycles and honours with
-//! `SimError::Cancelled`. Because coalesced submissions share one run,
-//! cancellation is *interest-counted*: cancelling one ticket detaches
-//! that submission; only when the last interested ticket cancels is the
-//! flag actually raised (or the queued entry tombstoned).
+//! **Durability and self-healing.** With [`ServeConfig::journal`] set,
+//! admissions are journaled write-ahead and outcomes settled, so a
+//! restart re-runs exactly the unfinished jobs. A panicking run is caught
+//! by the supervisor and retried with backoff until
+//! [`ServeConfig::strike_limit`] quarantines it as
+//! [`JobOutcome::Poisoned`]; transient faults retry up to
+//! [`ServeConfig::retry_budget`] times.
 //!
-//! A submission deadline bounds the job's *whole* life, not just its
-//! queue wait: a job still queued when it elapses never runs
-//! ([`JobOutcome::DeadlineExpired`]), and a job still *running* past it
-//! is cooperatively cancelled by the reaper thread through the same
-//! flag and finishes as [`JobOutcome::DeadlineExceeded`].
-//!
-//! # Durability
-//!
-//! With [`ServeConfig::journal`] set, every fresh admission is appended
-//! to a write-ahead [`Journal`] *before* any worker can pick the job
-//! up, and every terminal outcome appends a settle record. Together
-//! with the result-store spill ([`ServeConfig::spill`]), a restart
-//! against the same state directory rebuilds the memo cache and
-//! re-enqueues exactly the jobs the previous process admitted but never
-//! finished — a kill -9 loses no completed result and re-runs each
-//! unfinished job exactly once.
-//!
-//! # Self-healing
-//!
-//! Worker threads run under a supervisor: a panic inside a run is
-//! caught with `catch_unwind`, the worker is respawned (same OS thread,
-//! next incarnation), and the offending job is retried with backoff. A
-//! job that kills [`ServeConfig::strike_limit`] workers is quarantined
-//! as [`JobOutcome::Poisoned`] instead of being retried forever.
-//! Transient [`SimError::Fault`] outcomes are retried up to
-//! [`ServeConfig::retry_budget`] times with exponential backoff.
-//!
-//! # Overload control
-//!
-//! An [`AdmissionController`] watches queue depth and queue delay on
-//! every submission and steps a brownout ladder with hysteresis
-//! ([`BrownoutLevel`]). Clients that opt in
-//! ([`SubmitParams::allow_degraded`]) may have their reciprocal-mode
-//! jobs answered from a cheaper rung of the [`Fidelity`] ladder instead
-//! of being rejected: Brownout-1 degrades new low-priority jobs to the
-//! calibrated model, Brownout-2 degrades every job whose floor allows
-//! it, and a full queue admits degradable jobs at their floor into an
-//! overflow region (up to 4x capacity) rather than bouncing them with
-//! `queue_full`. Per-client token buckets bound each client's fresh-run
-//! rate the same way. Every degraded answer journals an *upgrade
-//! intent*: when the queue is empty and the brownout has cleared, idle
-//! workers re-run the spec at full fidelity and replace the store entry
-//! in place (upgrade-only), emitting [`Event::ResultUpgraded`].
+//! **Overload.** A brownout ladder and per-client token buckets plan
+//! consenting ([`SubmitParams::allow_degraded`]) reciprocal jobs at a
+//! cheaper [`Fidelity`] rung instead of shedding them; every degraded
+//! answer owes a background full-fidelity upgrade.
 //!
 //! [`RunSpec::cancel_flag`]: ra_cosim::RunSpec::cancel_flag
-//! [`Event::JobRejected`]: ra_obs::Event::JobRejected
-//! [`Event::ResultUpgraded`]: ra_obs::Event::ResultUpgraded
 
-use std::any::Any;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+#![deny(clippy::too_many_lines)]
+
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -92,18 +59,15 @@ use ra_cosim::{ModeSpec, RunResult};
 use ra_obs::{Event, ObsSink};
 use ra_sim::SimError;
 
-use crate::admission::{AdmissionConfig, AdmissionController, BrownoutLevel, Ewma, TokenBucket};
+use crate::admission::AdmissionConfig;
 use crate::journal::{self, Journal, RecoveryReport, UnfinishedJob, UpgradeIntent};
+use crate::sched_core::{Action, Assignment, Pick, Scheduler};
 use crate::spec::{Fidelity, JobKey, JobSpec};
-use crate::store::{ResultStore, StoreStats, StoredResult};
+use crate::store::{ResultStore, StoreStats};
 
 /// Error bound reported for a pure hop-model answer: the paper's A1
 /// configuration sees up to ~69% latency error from the hop model alone.
 pub(crate) const HOP_ERROR_BOUND: f64 = 0.69;
-
-/// Smallest error bound a calibrated-only answer will claim, even when
-/// the observed drift EWMA says the models currently agree closely.
-const CALIBRATED_ERROR_FLOOR: f64 = 0.15;
 
 /// Scheduling priority. Higher priorities always dequeue first; within a
 /// priority the queue is FIFO.
@@ -379,7 +343,7 @@ impl SubmitParams {
     /// The cheapest fidelity this submission will accept: `Reciprocal`
     /// unless degradation is allowed (and the spec's mode has cheaper
     /// rungs at all).
-    fn floor(&self, spec: &JobSpec) -> Fidelity {
+    pub(crate) fn floor(&self, spec: &JobSpec) -> Fidelity {
         if self.allow_degraded && Fidelity::degradable(&spec.mode) {
             self.min_fidelity.unwrap_or(Fidelity::Hop)
         } else {
@@ -518,6 +482,56 @@ pub struct ServiceStats {
     pub store: StoreStats,
 }
 
+impl ServiceStats {
+    /// The `stats` wire schema, in wire order — the one place the
+    /// backend's `stats` / `node_stats` verbs and the relay's two
+    /// aggregations learn which counters exist. Per counter: its field
+    /// name, how to read it, whether a relay's `stats` sums it across
+    /// backends (a level such as `brownout` does not add), and whether
+    /// a relay's `node_stats` shows it in each backend's row.
+    #[allow(clippy::type_complexity)]
+    pub(crate) const COUNTERS: &'static [(&'static str, fn(&ServiceStats) -> u64, bool, bool)] = &[
+        ("submitted", |s| s.submitted, true, true),
+        ("admitted", |s| s.admitted, true, false),
+        ("rejected", |s| s.rejected, true, false),
+        ("coalesced", |s| s.coalesced, true, true),
+        ("cache_hits", |s| s.cache_hits, true, true),
+        ("completed", |s| s.completed, true, true),
+        ("failed", |s| s.failed, true, false),
+        ("cancelled", |s| s.cancelled, true, false),
+        ("expired", |s| s.expired, true, false),
+        ("deadline_exceeded", |s| s.deadline_exceeded, true, false),
+        ("poisoned", |s| s.poisoned, true, false),
+        ("retries", |s| s.retries, true, false),
+        ("respawns", |s| s.respawns, true, false),
+        ("journal_compactions", |s| s.journal_compactions, true, false),
+        ("recovered_results", |s| s.recovered_results, true, false),
+        ("resumed_jobs", |s| s.resumed_jobs, true, false),
+        ("spec_commits", |s| s.spec_commits, true, false),
+        ("spec_rollbacks", |s| s.spec_rollbacks, true, false),
+        ("queue_depth", |s| s.queue_depth as u64, true, true),
+        ("shed", |s| s.shed, true, true),
+        ("degraded", |s| s.degraded, true, true),
+        ("upgraded", |s| s.upgraded, true, true),
+        ("upgrades_pending", |s| s.upgrades_pending, true, false),
+        ("brownout", |s| s.brownout, false, true),
+        ("store_hits", |s| s.store.hits, true, false),
+        ("store_misses", |s| s.store.misses, true, false),
+        ("insertions", |s| s.store.insertions, true, false),
+        ("evictions", |s| s.store.evictions, true, false),
+    ];
+
+    /// Names of the counters a relay's `stats` sums across backends.
+    pub(crate) fn summed() -> impl Iterator<Item = &'static str> {
+        Self::COUNTERS.iter().filter(|c| c.2).map(|c| c.0)
+    }
+
+    /// Names of the counters a relay's `node_stats` shows per backend.
+    pub(crate) fn per_node() -> impl Iterator<Item = &'static str> {
+        Self::COUNTERS.iter().filter(|c| c.3).map(|c| c.0)
+    }
+}
+
 /// What startup recovery found, for the `ra-serve` banner and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryInfo {
@@ -533,97 +547,12 @@ pub struct RecoveryInfo {
     pub checksum_errors: u64,
 }
 
-type JobId = u64;
 
-#[derive(Debug)]
-enum Phase {
-    Queued,
-    Running,
-    Done(JobOutcome),
-}
-
-struct JobCell {
-    spec: JobSpec,
-    key: JobKey,
-    deadline: Option<Instant>,
-    submitted: Instant,
-    cancel: Arc<AtomicBool>,
-    phase: Phase,
-    /// Live submissions (tickets not yet collected or cancelled).
-    interest: usize,
-    /// Priority it was admitted at (retries requeue at the same one).
-    priority: Priority,
-    /// Times a worker has started running it.
-    attempts: u32,
-    /// Workers it has crashed (quarantine at `strike_limit`).
-    strikes: u32,
-    /// Backoff gate: not runnable before this instant.
-    not_before: Option<Instant>,
-    /// The reaper already raised the cancel flag for its deadline.
-    deadline_fired: bool,
-    /// Fidelity rung the next run will execute at (brownout planning).
-    planned: Fidelity,
-    /// Cheapest rung any attached submission will accept: the max of
-    /// every waiter's floor. A publish below this re-enqueues the job.
-    floor: Fidelity,
-    /// A background upgrade re-run (interest starts at 0, results
-    /// publish through the store's upgrade-only rule).
-    is_upgrade: bool,
-}
-
-/// Max-heap slot: higher priority first, then FIFO by sequence number.
-#[derive(PartialEq, Eq)]
-struct QueueSlot {
-    priority: Priority,
-    seq: u64,
-    job: JobId,
-}
-
-impl Ord for QueueSlot {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.priority
-            .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for QueueSlot {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[derive(Default)]
-struct State {
-    queue: BinaryHeap<QueueSlot>,
-    cells: HashMap<JobId, JobCell>,
-    /// key -> queued-or-running job, for single-flight coalescing.
-    inflight: HashMap<u64, JobId>,
-    tickets: HashMap<Ticket, JobId>,
-    /// worker id -> the job it is currently running (what the panic
-    /// supervisor uses to find the victim).
-    running: HashMap<usize, JobId>,
-    next_id: u64,
-    next_seq: u64,
-    /// Live (non-tombstoned) queued jobs — what `queue_capacity` bounds.
-    queued: usize,
-    shutting_down: bool,
-    stats: ServiceStats,
-    /// The brownout controller (pressure EWMA + hysteresis).
-    admission: AdmissionController,
-    /// Per-client fresh-run token buckets.
-    quotas: HashMap<String, TokenBucket>,
-    /// Upgrade intents awaiting an idle worker, FIFO.
-    upgrades: VecDeque<UpgradeIntent>,
-    /// Keys currently in `upgrades` (dedup on repeated degraded runs).
-    upgrade_keys: HashSet<u64>,
-    /// EWMA of the relative coupler drift observed on full-fidelity
-    /// runs, feeding the calibrated tier's error-bound estimate.
-    drift: Ewma,
-}
-
+/// Everything the threads share. Lock order is `core` → store shard →
+/// journal writer; the obs recorder is a leaf (nothing holding it ever
+/// takes another lock), so actions may be performed with `core` held.
 struct Inner {
-    state: Mutex<State>,
+    core: Mutex<Scheduler>,
     /// Wakes workers when work arrives or shutdown starts.
     work_cv: Condvar,
     /// Wakes `wait`ers whenever any job reaches a terminal phase.
@@ -635,8 +564,97 @@ struct Inner {
     journal: Option<Journal>,
     config: ServeConfig,
     recovery: RecoveryInfo,
-    /// Epoch for the token buckets' injected clock.
+    /// Epoch of the core's injected clock.
     started: Instant,
+}
+
+impl Inner {
+    /// The shell's one clock: nanoseconds since the service started.
+    fn now(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
+    }
+
+    /// Locks the core, recovering from poison: a worker panic is a
+    /// supervised event here, not a reason to wedge the whole service.
+    /// Runs execute outside the lock and the core is consistent between
+    /// calls, so a poisoned guard is safe to adopt.
+    fn lock(&self) -> MutexGuard<'_, Scheduler> {
+        self.core.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// One shell entry: take the lock, read the clock once, let the
+    /// core decide, perform what it asked for, release.
+    fn apply<R>(&self, decide: impl FnOnce(&mut Scheduler, u64) -> R) -> R {
+        let mut core = self.lock();
+        let decided = decide(&mut core, self.now());
+        self.perform(&mut core);
+        decided
+    }
+
+    fn journal(&self, record: impl FnOnce(&Journal)) {
+        if let Some(journal) = &self.journal {
+            record(journal);
+        }
+    }
+
+    /// Performs the actions the core has listed, in its order, with the
+    /// lock still held — which is what makes the core's two ordering
+    /// rules (admit before any pop, settle before compaction) hold
+    /// against every other thread.
+    fn perform(&self, core: &mut Scheduler) {
+        while let Some(action) = core.next_action() {
+            match action {
+                Action::Admit(key, spec, pri) => self.journal(|j| j.admit(key, &spec, pri)),
+                Action::Settle(key, outcome) => self.journal(|j| j.settle(key, outcome)),
+                Action::OweUpgrade(key, spec) => self.journal(|j| j.upgrade(key, &spec)),
+                Action::UpgradePaid(key) => self.journal(|j| j.upgraded(key)),
+                Action::Compact => self.compact_journal(core),
+                Action::Publish(key, spec, stored) => {
+                    self.store.insert(key, &spec, stored);
+                }
+                Action::Emit(event) => self.obs.emit(|| event),
+                Action::RaiseCancel(flag) => flag.store(true, Ordering::Relaxed),
+                Action::WakeWorker => self.work_cv.notify_one(),
+                Action::WakeWorkers => self.work_cv.notify_all(),
+                Action::WakeWaiters => self.done_cv.notify_all(),
+                Action::WakeReaper => self.reaper_cv.notify_all(),
+            }
+        }
+    }
+
+    /// Runtime journal compaction: once the file outgrows
+    /// [`ServeConfig::journal_compact_bytes`], rewrite it to the core's
+    /// live snapshot with the same tmp + fsync + rename discipline as
+    /// startup.
+    fn compact_journal(&self, core: &mut Scheduler) {
+        let threshold = self.config.journal_compact_bytes;
+        let due = |journal: &&Journal| threshold > 0 && journal.len_bytes() >= threshold;
+        if let Some(journal) = self.journal.as_ref().filter(due) {
+            let (unfinished, upgrades) = core.live_snapshot();
+            if journal.compact_live(&unfinished, &upgrades).is_ok() {
+                core.compacted();
+            }
+        }
+    }
+}
+
+/// Parks on `cv` until notified — or, given a wake instant, until then
+/// (at least 1 ms, so a gate that just passed cannot spin).
+fn park<'a>(
+    cv: &Condvar,
+    core: MutexGuard<'a, Scheduler>,
+    now: u64,
+    until: Option<u64>,
+) -> MutexGuard<'a, Scheduler> {
+    match until {
+        Some(at) => {
+            let wait = Duration::from_nanos(at.saturating_sub(now)).max(Duration::from_millis(1));
+            cv.wait_timeout(core, wait)
+                .unwrap_or_else(|e| e.into_inner())
+                .0
+        }
+        None => cv.wait(core).unwrap_or_else(|e| e.into_inner()),
+    }
 }
 
 /// A multi-worker simulation-job service: canonical [`JobSpec`]s in,
@@ -715,68 +733,21 @@ impl JobService {
         recovery.dropped_tail_bytes = frames.dropped_tail_bytes;
         recovery.checksum_errors = frames.checksum_errors;
 
+        let mut core = Scheduler::new(config.clone());
+        core.resume(0, seeds, owed_upgrades);
         let inner = Arc::new(Inner {
-            state: Mutex::new(State::default()),
+            core: Mutex::new(core),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             reaper_cv: Condvar::new(),
             store,
             obs,
             journal,
-            config: config.clone(),
+            config,
             recovery,
             started: Instant::now(),
         });
-        {
-            let mut st = lock_state(&inner);
-            st.admission = AdmissionController::new(config.admission.clone());
-            for intent in owed_upgrades {
-                st.upgrade_keys.insert(intent.key.0);
-                st.upgrades.push_back(intent);
-            }
-            st.stats.upgrades_pending = st.upgrades.len() as u64;
-            let now = Instant::now();
-            for (spec, priority) in seeds {
-                let key = spec.job_hash();
-                let job = st.next_id;
-                st.next_id += 1;
-                st.cells.insert(
-                    job,
-                    JobCell {
-                        spec,
-                        key,
-                        deadline: None,
-                        submitted: now,
-                        cancel: Arc::new(AtomicBool::new(false)),
-                        phase: Phase::Queued,
-                        // No ticket survives a restart; the cell frees
-                        // itself when done. New submissions of the same
-                        // spec coalesce onto it as usual.
-                        interest: 0,
-                        priority,
-                        attempts: 0,
-                        strikes: 0,
-                        not_before: None,
-                        deadline_fired: false,
-                        // Resumed jobs re-run at full fidelity: the
-                        // original submitter's degradation consent did
-                        // not survive the restart, so the safe floor is
-                        // the spec's own mode.
-                        planned: Fidelity::Reciprocal,
-                        floor: Fidelity::Reciprocal,
-                        is_upgrade: false,
-                    },
-                );
-                st.inflight.insert(key.0, job);
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.queue.push(QueueSlot { priority, seq, job });
-                st.queued += 1;
-            }
-            st.stats.recovered_results = recovery.recovered_results;
-            st.stats.resumed_jobs = recovery.resumed_jobs;
-        }
-        if config.spill.is_some() || config.journal.is_some() {
+        if inner.config.spill.is_some() || inner.config.journal.is_some() {
             inner.obs.emit(|| Event::JournalReplay {
                 recovered_results: recovery.recovered_results,
                 resumed_jobs: recovery.resumed_jobs,
@@ -784,24 +755,14 @@ impl JobService {
                 checksum_errors: recovery.checksum_errors,
             });
         }
-        let mut workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
+        let mut workers: Vec<JoinHandle<()>> = (0..inner.config.workers.max(1))
             .map(|i| {
-                let inner = inner.clone();
-                std::thread::Builder::new()
-                    .name(format!("ra-serve-worker-{i}"))
-                    .spawn(move || supervise(&inner, i))
-                    .expect("spawn worker")
+                spawn(&inner, format!("ra-serve-worker-{i}"), move |inner| {
+                    supervise(inner, i);
+                })
             })
             .collect();
-        {
-            let inner = inner.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name("ra-serve-reaper".to_owned())
-                    .spawn(move || reaper_loop(&inner))
-                    .expect("spawn reaper"),
-            );
-        }
+        workers.push(spawn(&inner, "ra-serve-reaper".to_owned(), run_reaper));
         Ok(JobService { inner, workers })
     }
 
@@ -853,240 +814,15 @@ impl JobService {
         spec: JobSpec,
         params: SubmitParams,
     ) -> Result<SubmitReceipt, Rejected> {
+        let inner = &*self.inner;
         let key = spec.job_hash();
-        let now = Instant::now();
-        let priority = params.priority;
-        let floor = params.floor(&spec);
-        let degradable = params.allow_degraded && Fidelity::degradable(&spec.mode);
-        let mut st = self.lock();
-        if st.shutting_down {
-            return Err(Rejected::ShuttingDown);
-        }
-        st.stats.submitted += 1;
-
-        // Feed the brownout controller one pressure observation per
-        // submission; its level decides the fidelity planning below.
-        let capacity = self.inner.config.queue_capacity;
-        let queued_now = st.queued;
-        let level_change = st.admission.update(queued_now, capacity);
-        if let Some(change) = level_change {
-            st.stats.brownout = u64::from(change.to.level());
-            self.inner.obs.emit(|| {
-                if change.to.level() > change.from.level() {
-                    Event::BrownoutEnter {
-                        level: u64::from(change.to.level()),
-                        pressure: change.pressure,
-                    }
-                } else {
-                    Event::BrownoutExit {
-                        level: u64::from(change.to.level()),
-                        pressure: change.pressure,
-                    }
-                }
-            });
-        }
-
-        // Tier 1: the memo store — a hit must meet the caller's floor.
-        // (Lock order is always state -> store.)
-        if let Some(stored) = self.inner.store.get(key) {
-            if stored.fidelity >= floor {
-                st.stats.cache_hits += 1;
-                let ticket = new_cell(
-                    &mut st,
-                    spec,
-                    key,
-                    None,
-                    now,
-                    priority,
-                    Phase::Done(JobOutcome::Completed {
-                        result: stored.result,
-                        cached: true,
-                        fidelity: stored.fidelity,
-                        error_bound: stored.error_bound,
-                        queue_ns: 0,
-                        run_ns: 0,
-                    }),
-                    floor,
-                );
-                drop(st);
-                self.inner.obs.emit(|| Event::CacheHit { job: key.0 });
-                // The outcome is already terminal; let sleeping waiters of
-                // other tickets coexist — only this ticket's waiter matters,
-                // and it will observe Done immediately.
-                return Ok(SubmitReceipt {
-                    ticket,
-                    job: key,
-                    disposition: Disposition::CacheHit,
-                });
-            }
-            // A cached answer below the floor is a miss for this caller;
-            // fall through to coalesce/admit a better run.
-        }
-
-        // Tier 2: single-flight — attach to an identical in-flight job,
-        // raising its floor (and, while still queued, its plan) to ours.
-        if let Some(&job) = st.inflight.get(&key.0) {
-            let ticket = st.next_id;
-            st.next_id += 1;
-            st.tickets.insert(ticket, job);
-            let cell = st.cells.get_mut(&job).expect("inflight cell");
-            cell.interest += 1;
-            if floor > cell.floor {
-                cell.floor = floor;
-            }
-            if cell.planned < cell.floor && matches!(cell.phase, Phase::Queued) {
-                cell.planned = cell.floor;
-            }
-            st.stats.coalesced += 1;
-            drop(st);
-            self.inner.obs.emit(|| Event::CacheHit { job: key.0 });
-            return Ok(SubmitReceipt {
-                ticket,
-                job: key,
-                disposition: Disposition::Coalesced,
-            });
-        }
-
-        // Per-client quota: a fresh run costs one token. Over-quota
-        // submissions degrade to their floor when allowed, else shed.
-        let mut planned = Fidelity::Reciprocal;
-        let mut degrade_cause: Option<&'static str> = None;
-        if self.inner.config.quota_rate > 0.0 {
-            if let Some(client) = &params.client {
-                let now_ns = elapsed_ns(self.inner.started, now);
-                let rate = self.inner.config.quota_rate;
-                let burst = self.inner.config.quota_burst;
-                let bucket = st
-                    .quotas
-                    .entry(client.clone())
-                    .or_insert_with(|| TokenBucket::new(burst, rate));
-                if !bucket.try_take(now_ns, 1.0) {
-                    if degradable {
-                        planned = floor;
-                        degrade_cause = Some("quota");
-                    } else {
-                        let depth = st.queued;
-                        st.stats.rejected += 1;
-                        st.stats.shed += 1;
-                        drop(st);
-                        self.inner.obs.emit(|| Event::JobShed {
-                            job: key.0,
-                            client: client.clone(),
-                            queue_depth: depth as u64,
-                        });
-                        return Err(Rejected::QueueFull { depth });
-                    }
-                }
-            }
-        }
-
-        // Brownout planning: level 1 degrades new low-priority work to
-        // the calibrated model, level 2 degrades everything consenting
-        // down to its floor.
-        if degradable && degrade_cause.is_none() {
-            match st.admission.level() {
-                BrownoutLevel::Normal => {}
-                BrownoutLevel::Brownout1 if priority == Priority::Low => {
-                    planned = Fidelity::Calibrated.max(floor);
-                    degrade_cause = Some("brownout1");
-                }
-                BrownoutLevel::Brownout1 => {}
-                BrownoutLevel::Brownout2 => {
-                    planned = floor;
-                    degrade_cause = Some("brownout2");
-                }
-            }
-        }
-
-        // Tier 3: a fresh run — subject to bounded admission. Degradable
-        // jobs that collide with a full queue are not bounced: they are
-        // forced to their floor and admitted into an overflow region
-        // (4x capacity), because a floor-fidelity run costs milliseconds.
-        if st.queued >= capacity {
-            if degradable && st.queued < capacity.saturating_mul(4) {
-                planned = floor;
-                degrade_cause = Some("queue_full");
-            } else {
-                let depth = st.queued;
-                st.stats.rejected += 1;
-                st.stats.shed += 1;
-                let client = params.client.clone().unwrap_or_default();
-                drop(st);
-                self.inner.obs.emit(|| Event::JobRejected {
-                    job: key.0,
-                    queue_depth: depth as u64,
-                });
-                self.inner.obs.emit(|| Event::JobShed {
-                    job: key.0,
-                    client,
-                    queue_depth: depth as u64,
-                });
-                return Err(Rejected::QueueFull { depth });
-            }
-        }
-        let canonical = spec.canonical();
-        let has_deadline = params.deadline.is_some();
-        let ticket = new_cell(
-            &mut st,
-            spec,
-            key,
-            params.deadline.map(|d| now + d),
-            now,
-            priority,
-            Phase::Queued,
-            floor,
-        );
-        let job = st.tickets[&ticket];
-        if let Some(cell) = st.cells.get_mut(&job) {
-            cell.planned = planned.max(floor);
-        }
-        st.inflight.insert(key.0, job);
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.queue.push(QueueSlot { priority, seq, job });
-        st.queued += 1;
-        st.stats.admitted += 1;
-        let depth = st.queued;
-        // Write-ahead: the admit record lands while the state lock still
-        // blocks every worker from popping the job.
-        if let Some(journal) = &self.inner.journal {
-            journal.admit(key, &canonical, priority);
-        }
-        drop(st);
-        self.inner.work_cv.notify_one();
-        if has_deadline {
-            self.inner.reaper_cv.notify_all();
-        }
-        if let Some(cause) = degrade_cause {
-            let fidelity = planned.name().to_owned();
-            self.inner.obs.emit(|| Event::JobDegraded {
-                job: key.0,
-                fidelity,
-                cause: cause.to_owned(),
-            });
-        }
-        self.inner.obs.emit(|| Event::JobAdmitted {
-            job: key.0,
-            queue_depth: depth as u64,
-            priority: priority.rank(),
-        });
-        Ok(SubmitReceipt {
-            ticket,
-            job: key,
-            disposition: Disposition::Enqueued { depth },
-        })
+        inner.apply(|core, now| core.submit(now, spec, key, &params, |key| inner.store.get(key)))
     }
 
     /// Non-consuming snapshot of a ticket's job, or `None` for an
     /// unknown (or already collected) ticket.
     pub fn status(&self, ticket: Ticket) -> Option<JobStatus> {
-        let st = self.lock();
-        let cell = st.cells.get(st.tickets.get(&ticket)?)?;
-        Some(match &cell.phase {
-            Phase::Queued => JobStatus::Queued,
-            Phase::Running => JobStatus::Running,
-            Phase::Done(outcome) => JobStatus::Done(outcome.clone()),
-        })
+        self.inner.lock().status(ticket)
     }
 
     /// Blocks until the ticket's job finishes, then *collects* the
@@ -1098,37 +834,38 @@ impl JobService {
     /// [`WaitError::UnknownTicket`] means it never existed or was
     /// already collected.
     pub fn wait(&self, ticket: Ticket, timeout: Option<Duration>) -> Result<JobOutcome, WaitError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut st = self.lock();
-        loop {
-            let job = *st.tickets.get(&ticket).ok_or(WaitError::UnknownTicket)?;
-            let cell = st.cells.get(&job).ok_or(WaitError::UnknownTicket)?;
-            if let Phase::Done(outcome) = &cell.phase {
-                let outcome = outcome.clone();
-                collect_ticket(&mut st, ticket);
-                return Ok(outcome);
+        self.wait_done(self.inner.lock(), timeout, |core| match core.status(ticket) {
+            None => Some(Err(WaitError::UnknownTicket)),
+            Some(JobStatus::Done(outcome)) => {
+                core.collect(ticket);
+                Some(Ok(outcome))
             }
-            st = match deadline {
-                None => self
-                    .inner
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner()),
-                Some(deadline) => {
-                    let left = deadline
-                        .checked_duration_since(Instant::now())
-                        .ok_or(WaitError::TimedOut)?;
-                    let (guard, timeout) = self
-                        .inner
-                        .done_cv
-                        .wait_timeout(st, left)
-                        .unwrap_or_else(|e| e.into_inner());
-                    if timeout.timed_out() {
-                        return Err(WaitError::TimedOut);
-                    }
-                    guard
-                }
-            };
+            Some(_) => None,
+        })
+        .unwrap_or(Err(WaitError::TimedOut))
+    }
+
+    /// Blocks on `done_cv` until `ready` yields, or `timeout` passes
+    /// (`None`). `ready` is re-evaluated after every wake-up, a
+    /// timed-out one included, so a condition that came true on the
+    /// deadline is still reported.
+    fn wait_done<R>(
+        &self,
+        mut core: MutexGuard<'_, Scheduler>,
+        timeout: Option<Duration>,
+        mut ready: impl FnMut(&mut Scheduler) -> Option<R>,
+    ) -> Option<R> {
+        let inner = &*self.inner;
+        let deadline = timeout.map(|t| inner.now().saturating_add(t.as_nanos() as u64));
+        loop {
+            if let Some(ready) = ready(&mut core) {
+                return Some(ready);
+            }
+            let now = inner.now();
+            if deadline.is_some_and(|at| now >= at) {
+                return None;
+            }
+            core = park(&inner.done_cv, core, now, deadline);
         }
     }
 
@@ -1137,54 +874,15 @@ impl JobService {
     /// remains interested (see the module docs). Returns `None` for an
     /// unknown ticket.
     pub fn cancel(&self, ticket: Ticket) -> Option<CancelOutcome> {
-        let mut st = self.lock();
-        let job = *st.tickets.get(&ticket)?;
-        let (outcome, key) = {
-            let cell = st.cells.get_mut(&job)?;
-            let last = cell.interest <= 1;
-            let outcome = match &cell.phase {
-                Phase::Done(_) => CancelOutcome::AlreadyDone,
-                _ if !last => CancelOutcome::Detached,
-                Phase::Queued => {
-                    // Tombstone: the heap slot stays; workers skip it.
-                    cell.phase = Phase::Done(JobOutcome::Cancelled);
-                    CancelOutcome::Cancelled
-                }
-                Phase::Running => {
-                    cell.cancel.store(true, Ordering::Relaxed);
-                    CancelOutcome::Signalled
-                }
-            };
-            (outcome, cell.key)
-        };
-        if outcome == CancelOutcome::Cancelled {
-            st.inflight.remove(&key.0);
-            st.queued -= 1;
-            st.stats.cancelled += 1;
-            if let Some(journal) = &self.inner.journal {
-                journal.settle(key, "cancelled");
-            }
-            maybe_compact_journal(&self.inner, &mut st);
-        }
-        collect_ticket(&mut st, ticket);
-        drop(st);
-        if outcome == CancelOutcome::Cancelled {
-            self.inner.done_cv.notify_all();
-        }
-        Some(outcome)
+        self.inner.apply(|core, now| core.cancel(now, ticket))
     }
 
     /// Counter snapshot (service + store).
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = {
-            let st = self.lock();
-            let mut stats = st.stats;
-            stats.queue_depth = st.queued;
-            stats.upgrades_pending = st.upgrades.len() as u64;
-            stats.brownout = u64::from(st.admission.level().level());
-            stats
-        };
+        let mut stats = self.inner.lock().stats();
         stats.store = self.inner.store.stats();
+        stats.recovered_results = self.inner.recovery.recovered_results;
+        stats.resumed_jobs = self.inner.recovery.resumed_jobs;
         stats
     }
 
@@ -1207,26 +905,10 @@ impl JobService {
     /// Call [`shutdown`](JobService::shutdown) (or drop) afterwards to
     /// join the workers.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.lock();
-        st.shutting_down = true;
-        self.inner.work_cv.notify_all();
-        self.inner.reaper_cv.notify_all();
-        let drained = loop {
-            if st.queued == 0 && st.running.is_empty() {
-                break true;
-            }
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                break false;
-            };
-            let (guard, _) = self
-                .inner
-                .done_cv
-                .wait_timeout(st, left)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-        };
-        drop(st);
+        let core = self.begin_shutdown();
+        let drained = self
+            .wait_done(core, Some(timeout), |core| core.is_drained().then_some(()))
+            .is_some();
         self.sync_durability();
         drained
     }
@@ -1234,22 +916,16 @@ impl JobService {
     /// Stops admitting, drains the queue, and joins every worker.
     /// Queued jobs still run to completion; to abandon one instead,
     /// [`cancel`](JobService::cancel) it first.
-    pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        self.join_and_sync();
+    pub fn shutdown(self) {
+        drop(self);
     }
 
-    fn begin_shutdown(&self) {
-        self.lock().shutting_down = true;
+    fn begin_shutdown(&self) -> MutexGuard<'_, Scheduler> {
+        let mut core = self.inner.lock();
+        core.shutting_down = true;
         self.inner.work_cv.notify_all();
         self.inner.reaper_cv.notify_all();
-    }
-
-    fn join_and_sync(&mut self) {
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        self.sync_durability();
+        core
     }
 
     fn sync_durability(&self) {
@@ -1258,25 +934,28 @@ impl JobService {
             let _ = journal.sync();
         }
     }
-
-    fn lock(&self) -> MutexGuard<'_, State> {
-        lock_state(&self.inner)
-    }
 }
 
 impl Drop for JobService {
     fn drop(&mut self) {
-        self.begin_shutdown();
-        self.join_and_sync();
+        drop(self.begin_shutdown());
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
+        }
+        self.sync_durability();
     }
 }
 
-/// Locks the service state, recovering from poison: a worker panic is a
-/// supervised event here, not a reason to wedge the whole service. The
-/// state is consistent at every await point inside the lock, so the
-/// poisoned guard is safe to adopt.
-fn lock_state(inner: &Inner) -> MutexGuard<'_, State> {
-    inner.state.lock().unwrap_or_else(|e| e.into_inner())
+fn spawn(
+    inner: &Arc<Inner>,
+    name: String,
+    body: impl FnOnce(&Inner) + Send + 'static,
+) -> JoinHandle<()> {
+    let inner = inner.clone();
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || body(&inner))
+        .expect("spawn service thread")
 }
 
 /// Exponential backoff for attempt N (1-based): `base * 2^(N-1)`,
@@ -1285,776 +964,92 @@ pub(crate) fn backoff_delay(base: Duration, attempts: u32) -> Duration {
     base.saturating_mul(1u32 << attempts.saturating_sub(1).min(10))
 }
 
-fn journal_settle(inner: &Inner, key: JobKey, outcome: &str) {
-    if let Some(journal) = &inner.journal {
-        journal.settle(key, outcome);
-    }
-}
-
-/// Runtime journal compaction: once the file outgrows
-/// [`ServeConfig::journal_compact_bytes`], rewrite it to just the live
-/// admissions with the same tmp + fsync + rename discipline as startup.
-/// Called with the state lock held, so the unfinished set cannot drift
-/// between collection and the rewrite (the lock also orders this
-/// against every admit/settle append).
-fn maybe_compact_journal(inner: &Inner, st: &mut State) {
-    let threshold = inner.config.journal_compact_bytes;
-    if threshold == 0 {
-        return;
-    }
-    let Some(journal) = &inner.journal else {
-        return;
-    };
-    if journal.len_bytes() < threshold {
-        return;
-    }
-    let mut live: Vec<(JobId, UnfinishedJob)> = st
-        .inflight
-        .values()
-        .filter(|&&job| st.cells.get(&job).is_none_or(|cell| !cell.is_upgrade))
-        .filter_map(|&job| {
-            st.cells.get(&job).map(|cell| {
-                (
-                    job,
-                    UnfinishedJob {
-                        key: cell.key,
-                        spec: cell.spec.canonical(),
-                        priority: cell.priority,
-                    },
-                )
-            })
-        })
-        .collect();
-    // Admission order: job ids are allocated monotonically.
-    live.sort_by_key(|&(job, _)| job);
-    let unfinished: Vec<UnfinishedJob> = live.into_iter().map(|(_, job)| job).collect();
-    // Outstanding upgrade debt survives compaction: the queued intents
-    // plus any upgrade cell currently running (its `upgraded` record
-    // hasn't landed yet).
-    let mut upgrades: Vec<UpgradeIntent> = st.upgrades.iter().cloned().collect();
-    for cell in st.cells.values() {
-        if cell.is_upgrade && !matches!(cell.phase, Phase::Done(_)) {
-            upgrades.push(UpgradeIntent {
-                key: cell.key,
-                spec: cell.spec.canonical(),
-            });
-        }
-    }
-    if journal.compact_live(&unfinished, &upgrades).is_ok() {
-        st.stats.journal_compactions += 1;
-    }
-}
-
-/// Allocates a cell + first ticket; returns the ticket.
-#[allow(clippy::too_many_arguments)]
-fn new_cell(
-    st: &mut State,
-    spec: JobSpec,
-    key: JobKey,
-    deadline: Option<Instant>,
-    submitted: Instant,
-    priority: Priority,
-    phase: Phase,
-    floor: Fidelity,
-) -> Ticket {
-    let job = st.next_id;
-    let ticket = st.next_id + 1;
-    st.next_id += 2;
-    st.cells.insert(
-        job,
-        JobCell {
-            spec,
-            key,
-            deadline,
-            submitted,
-            cancel: Arc::new(AtomicBool::new(false)),
-            phase,
-            interest: 1,
-            priority,
-            attempts: 0,
-            strikes: 0,
-            not_before: None,
-            deadline_fired: false,
-            planned: Fidelity::Reciprocal,
-            floor,
-            is_upgrade: false,
-        },
-    );
-    st.tickets.insert(ticket, job);
-    ticket
-}
-
-/// Removes a ticket; frees the cell once it is terminal and no ticket
-/// references it (bounding service memory by *live* submissions).
-fn collect_ticket(st: &mut State, ticket: Ticket) {
-    let Some(job) = st.tickets.remove(&ticket) else {
-        return;
-    };
-    if let Some(cell) = st.cells.get_mut(&job) {
-        cell.interest = cell.interest.saturating_sub(1);
-        if cell.interest == 0 && matches!(cell.phase, Phase::Done(_)) {
-            st.cells.remove(&job);
-        }
-    }
-}
-
-/// The worker supervisor: runs [`worker_loop`] under `catch_unwind`,
-/// and on a panic recovers the victim job and re-enters the loop as the
-/// next incarnation of the same worker — the pool never shrinks. (This
-/// relies on unwinding panics; the release profile must not set
+/// The worker supervisor: runs [`run_worker`] under `catch_unwind`,
+/// and on a panic reports the victim to the core and re-enters the loop
+/// as the next incarnation of the same worker — the pool never shrinks.
+/// (This relies on unwinding panics; the release profile must not set
 /// `panic = "abort"`, which `Cargo.toml` documents.)
-fn supervise(inner: &Inner, worker_id: usize) {
+fn supervise(inner: &Inner, worker: usize) {
     let mut incarnation: u64 = 0;
+    while let Err(payload) =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_worker(inner, worker)))
+    {
+        incarnation += 1;
+        let detail = match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+            (Some(s), _) => (*s).to_owned(),
+            (_, Some(s)) => s.clone(),
+            _ => "panic payload of unknown type".to_owned(),
+        };
+        inner.apply(|core, now| core.worker_panicked(now, worker, incarnation, &detail));
+    }
+}
+
+/// One worker: ask the core for a job (parking when it says wait), run
+/// it outside the lock, hand the result back. Returns on clean shutdown.
+fn run_worker(inner: &Inner, worker: usize) {
+    let fidelity_of = |key| inner.store.fidelity_of(key);
     loop {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker_loop(inner, worker_id)
-        })) {
-            Ok(()) => return, // clean shutdown
-            Err(payload) => {
-                incarnation += 1;
-                let detail = panic_message(payload.as_ref());
-                recover_from_panic(inner, worker_id, incarnation, detail);
+        let mut core = inner.lock();
+        let job = loop {
+            let now = inner.now();
+            let pick = core.pick(now, worker, fidelity_of);
+            inner.perform(&mut core);
+            match pick {
+                Pick::Run(job) => break job,
+                Pick::Wait(until) => core = park(&inner.work_cv, core, now, until),
+                Pick::Exit => return,
             }
-        }
+        };
+        drop(core);
+        let started = inner.now();
+        let run = execute(inner, &job);
+        let run_ns = inner.now().saturating_sub(started);
+        inner.apply(|core, now| core.complete(now, worker, run, run_ns, fidelity_of));
     }
 }
 
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic payload of unknown type".to_owned()
+/// Simulates one assignment, with per-job spans flowing into the shared
+/// sink and the cancel flag armed on the engine's watchdog poll. Chaos
+/// injection happens here, outside every lock, so an injected panic
+/// unwinds exactly like an engine panic would.
+fn execute(inner: &Inner, job: &Assignment) -> Result<RunResult, SimError> {
+    let chaos = &inner.config.chaos;
+    let seed = job.spec.seed;
+    if chaos.panic_on_seeds.contains(&seed) {
+        panic!("chaos: injected worker panic (seed {seed})");
     }
-}
-
-/// Post-panic cleanup for one worker: charge a strike to the job it was
-/// running, requeue it with backoff — or quarantine it as `Poisoned`
-/// once it has crossed the strike limit — and account the respawn.
-fn recover_from_panic(inner: &Inner, worker_id: usize, incarnation: u64, detail: String) {
-    let now = Instant::now();
-    let mut st = lock_state(inner);
-    st.stats.respawns += 1;
-    let victim = st.running.remove(&worker_id);
-    let mut victim_key: u64 = 0;
-    let mut quarantined: Option<(JobKey, u64, u64)> = None;
-    if let Some(job) = victim {
-        if let Some(cell) = st.cells.get_mut(&job) {
-            victim_key = cell.key.0;
-            cell.strikes += 1;
-            if cell.strikes >= inner.config.strike_limit.max(1) {
-                let key = cell.key;
-                let strikes = u64::from(cell.strikes);
-                let queue_ns = elapsed_ns(cell.submitted, now);
-                cell.phase = Phase::Done(JobOutcome::Poisoned {
-                    error: SimError::Fault {
-                        component: format!("serve worker {worker_id}"),
-                        detail: detail.clone(),
-                    }
-                    .to_string(),
-                });
-                let free = cell.interest == 0;
-                if free {
-                    st.cells.remove(&job);
-                }
-                st.inflight.remove(&key.0);
-                st.stats.poisoned += 1;
-                quarantined = Some((key, strikes, queue_ns));
-            } else {
-                cell.phase = Phase::Queued;
-                cell.not_before = Some(now + backoff_delay(inner.config.retry_backoff, cell.attempts));
-                let priority = cell.priority;
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.queue.push(QueueSlot { priority, seq, job });
-                st.queued += 1;
-            }
-        }
-    }
-    // Settle *before* releasing the state lock: the journal append must
-    // be ordered against any concurrent compaction snapshot (which runs
-    // under this lock). Settling after `drop(st)` let a compaction
-    // rewrite the file from a snapshot that no longer listed this job
-    // and then have the straggling settle record appended for a key the
-    // compacted journal never admitted — replay then refused the frame.
-    if let Some((key, _, _)) = quarantined {
-        journal_settle(inner, key, "poisoned");
-        maybe_compact_journal(inner, &mut st);
-    }
-    drop(st);
-    if let Some((key, strikes, queue_ns)) = quarantined {
-        inner.obs.emit(|| Event::JobQuarantined {
-            job: key.0,
-            strikes,
+    if chaos.fault_on_seeds.contains(&seed) && job.attempts <= chaos.fault_attempts {
+        return Err(SimError::Fault {
+            component: "chaos injector".to_owned(),
+            detail: format!("injected transient fault (attempt {})", job.attempts),
         });
-        finish(inner, key, "poisoned", queue_ns, 0, (0, 0));
     }
-    inner.obs.emit(|| Event::WorkerRespawn {
-        worker: worker_id as u64,
-        incarnation,
-        job: victim_key,
-    });
-    inner.work_cv.notify_all();
-    inner.done_cv.notify_all();
+    // Whatever rung runs, the cache key stays the original spec's: that
+    // shared slot is what lets a later upgrade replace the answer in
+    // place.
+    let mut hop_spec;
+    let exec = match job.planned {
+        Fidelity::Hop => {
+            hop_spec = job.spec.clone();
+            hop_spec.mode = ModeSpec::Hop;
+            hop_spec.to_run_spec()
+        }
+        Fidelity::Calibrated => job.spec.to_run_spec().calibrated_only(true),
+        Fidelity::Reciprocal => job.spec.to_run_spec(),
+    };
+    exec.cancel_flag(job.cancel.clone())
+        .recorder(inner.obs.clone())
+        .run()
 }
 
-fn worker_loop(inner: &Inner, worker_id: usize) {
-    loop {
-        // Phase 1: pop the next runnable job — skipping tombstones,
-        // expiring the dead, and deferring backoff-gated retries.
-        let mut st = lock_state(inner);
-        let (job, key, spec, cancel, queue_ns, attempts, planned, is_upgrade) = 'pick: loop {
-            let now = Instant::now();
-            let mut deferred: Vec<QueueSlot> = Vec::new();
-            let mut next_wake: Option<Instant> = None;
-            let draining = st.shutting_down;
-            let picked = loop {
-                let Some(slot) = st.queue.pop() else {
-                    break None;
-                };
-                let Some(cell) = st.cells.get_mut(&slot.job) else {
-                    continue; // cancelled and fully collected
-                };
-                if !matches!(cell.phase, Phase::Queued) {
-                    continue; // cancellation tombstone
-                }
-                if cell.deadline.is_some_and(|d| now > d) {
-                    let key = cell.key;
-                    let queue_ns = elapsed_ns(cell.submitted, now);
-                    cell.phase = Phase::Done(JobOutcome::DeadlineExpired);
-                    let free = cell.interest == 0;
-                    if free {
-                        st.cells.remove(&slot.job);
-                    }
-                    st.inflight.remove(&key.0);
-                    st.queued -= 1;
-                    st.stats.expired += 1;
-                    journal_settle(inner, key, "deadline_expired");
-                    maybe_compact_journal(inner, &mut st);
-                    finish(inner, key, "deadline_expired", queue_ns, 0, (0, 0));
-                    continue;
-                }
-                // A backoff-gated retry waits its turn — unless we are
-                // draining, when waiting would just delay shutdown.
-                if let Some(gate) = cell.not_before {
-                    if now < gate && !draining {
-                        next_wake = Some(next_wake.map_or(gate, |w| w.min(gate)));
-                        deferred.push(slot);
-                        continue;
-                    }
-                }
-                cell.not_before = None;
-                cell.attempts += 1;
-                cell.phase = Phase::Running;
-                break Some((
-                    slot.job,
-                    cell.key,
-                    cell.spec.clone(),
-                    cell.cancel.clone(),
-                    elapsed_ns(cell.submitted, now),
-                    cell.attempts,
-                    cell.planned,
-                    cell.is_upgrade,
-                ));
-            };
-            for slot in deferred {
-                st.queue.push(slot);
-            }
-            if let Some(out) = picked {
-                st.queued -= 1;
-                st.running.insert(worker_id, out.0);
-                // Feed the measured queue delay to the brownout
-                // controller — the saturation signal a depth snapshot
-                // alone misses.
-                st.admission.observe_queue_delay(Duration::from_nanos(out.4));
-                break 'pick out;
-            }
-            if st.shutting_down && st.queue.is_empty() {
-                return;
-            }
-            // The controller's observations normally arrive with
-            // submissions; when a storm ends and traffic stops, the
-            // ladder would wedge at its last level (and the upgrade
-            // drain below, gated on Normal, would never run). Idle
-            // workers with an empty queue feed zero-delay observations
-            // so the pressure EWMA decays and the ladder steps down.
-            if st.queued == 0 && st.admission.level() != BrownoutLevel::Normal {
-                st.admission.observe_queue_delay(Duration::ZERO);
-                if let Some(change) = st.admission.update(0, inner.config.queue_capacity) {
-                    st.stats.brownout = u64::from(change.to.level());
-                    inner.obs.emit(|| {
-                        if change.to.level() > change.from.level() {
-                            Event::BrownoutEnter {
-                                level: u64::from(change.to.level()),
-                                pressure: change.pressure,
-                            }
-                        } else {
-                            Event::BrownoutExit {
-                                level: u64::from(change.to.level()),
-                                pressure: change.pressure,
-                            }
-                        }
-                    });
-                }
-            }
-            // Idle-priority upgrade drain: only with an empty queue, no
-            // backoff-gated retry pending, and the brownout fully
-            // cleared does a worker spend cycles re-earning fidelity.
-            if inner.config.background_upgrades
-                && st.queued == 0
-                && next_wake.is_none()
-                && st.admission.level() == BrownoutLevel::Normal
-            {
-                if let Some(intent) = st.upgrades.pop_front() {
-                    st.upgrade_keys.remove(&intent.key.0);
-                    if st.inflight.contains_key(&intent.key.0) {
-                        // The in-flight run for this key either lands at
-                        // full fidelity or re-journals the debt; retry
-                        // the intent later (fall through to the wait).
-                        st.upgrade_keys.insert(intent.key.0);
-                        st.upgrades.push_back(intent);
-                    } else if inner
-                        .store
-                        .fidelity_of(intent.key)
-                        .is_none_or(|f| f >= Fidelity::Reciprocal)
-                    {
-                        // Already full fidelity, or evicted: moot.
-                        if let Some(journal) = &inner.journal {
-                            journal.upgraded(intent.key);
-                        }
-                        continue 'pick;
-                    } else {
-                        match intent.spec.parse::<JobSpec>() {
-                            Err(_) => {
-                                // A stale or foreign spec can never run;
-                                // write the debt off rather than wedge.
-                                if let Some(journal) = &inner.journal {
-                                    journal.upgraded(intent.key);
-                                }
-                                continue 'pick;
-                            }
-                            Ok(spec) => {
-                                let job = st.next_id;
-                                st.next_id += 1;
-                                let cancel = Arc::new(AtomicBool::new(false));
-                                st.cells.insert(
-                                    job,
-                                    JobCell {
-                                        spec: spec.clone(),
-                                        key: intent.key,
-                                        deadline: None,
-                                        submitted: now,
-                                        cancel: cancel.clone(),
-                                        phase: Phase::Running,
-                                        interest: 0,
-                                        priority: Priority::Low,
-                                        attempts: 1,
-                                        strikes: 0,
-                                        not_before: None,
-                                        deadline_fired: false,
-                                        planned: Fidelity::Reciprocal,
-                                        floor: Fidelity::Hop,
-                                        is_upgrade: true,
-                                    },
-                                );
-                                st.inflight.insert(intent.key.0, job);
-                                st.running.insert(worker_id, job);
-                                break 'pick (
-                                    job,
-                                    intent.key,
-                                    spec,
-                                    cancel,
-                                    0,
-                                    1,
-                                    Fidelity::Reciprocal,
-                                    true,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            // While the post-storm ladder is still stepping down, poll
-            // on a short tick so the decay observations above keep
-            // flowing; once the ladder is clear (or load returns) the
-            // workers park on the condvar as usual.
-            let decay_tick = (st.queued == 0
-                && st.admission.level() != BrownoutLevel::Normal)
-                .then(|| Instant::now() + Duration::from_millis(25));
-            let wake = match (next_wake, decay_tick) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            st = match wake {
-                Some(at) => {
-                    let wait = at
-                        .saturating_duration_since(Instant::now())
-                        .max(Duration::from_millis(1));
-                    inner
-                        .work_cv
-                        .wait_timeout(st, wait)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-                None => inner.work_cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-            };
-        };
-        drop(st);
-
-        // Phase 2: simulate, with per-job spans flowing into the shared
-        // sink and the cancel flag armed on the engine's watchdog poll.
-        // Chaos injection happens here, outside every lock, so an
-        // injected panic unwinds exactly like an engine panic would.
-        let chaos = &inner.config.chaos;
-        if chaos.panic_on_seeds.contains(&spec.seed) {
-            panic!("chaos: injected worker panic (seed {})", spec.seed);
-        }
-        let started = Instant::now();
-        let run = if chaos.fault_on_seeds.contains(&spec.seed) && attempts <= chaos.fault_attempts {
-            Err(SimError::Fault {
-                component: "chaos injector".to_owned(),
-                detail: format!("injected transient fault (attempt {attempts})"),
-            })
-        } else {
-            // The planned rung decides how much machinery runs: `hop`
-            // swaps the mode for the analytic model, `calibrated`
-            // serves from the calibrated replay path, `reciprocal` is
-            // the full co-simulation. The cache key stays the
-            // original spec's in every case — that shared slot is
-            // what lets a later upgrade replace the answer in place.
-            let exec_spec;
-            let exec = match planned {
-                Fidelity::Hop => {
-                    let mut s = spec.clone();
-                    s.mode = ModeSpec::Hop;
-                    exec_spec = s;
-                    exec_spec.to_run_spec()
-                }
-                Fidelity::Calibrated => spec.to_run_spec().calibrated_only(true),
-                Fidelity::Reciprocal => spec.to_run_spec(),
-            };
-            exec.cancel_flag(cancel.clone())
-                .recorder(inner.obs.clone())
-                .run()
-        };
-        let run_ns = elapsed_ns(started, Instant::now());
-
-        // Phase 3: publish the outcome — or schedule a retry. The store
-        // insert happens under the state lock (lock order is state →
-        // store) because the calibrated-tier error bound reads the
-        // drift EWMA that full-fidelity runs feed.
-        let mut st = lock_state(inner);
-        st.running.remove(&worker_id);
-        let now = Instant::now();
-        enum Next {
-            Publish(JobOutcome),
-            Retry(Instant, Priority),
-            Requeue(Fidelity),
-        }
-        let mut prev_fidelity: Option<Fidelity> = None;
-        let next = match run {
-            Ok(result) => {
-                let result = Arc::new(result);
-                let error_bound = match planned {
-                    Fidelity::Reciprocal => {
-                        // Relative drift: mean coupler correction over
-                        // mean observed latency. Full runs calibrate
-                        // the bound the cheaper rungs will report.
-                        let rel = result.coupler.as_ref().map_or(0.0, |c| {
-                            let lat = result.latency.mean();
-                            if lat > 0.0 {
-                                (c.drift.mean() / lat).abs().min(1.0)
-                            } else {
-                                0.0
-                            }
-                        });
-                        if rel.is_finite() && rel > 0.0 {
-                            st.drift.observe(rel);
-                        }
-                        rel
-                    }
-                    Fidelity::Calibrated => {
-                        if st.drift.primed() {
-                            (2.0 * st.drift.value()).max(CALIBRATED_ERROR_FLOOR)
-                        } else {
-                            CALIBRATED_ERROR_FLOOR
-                        }
-                    }
-                    Fidelity::Hop => HOP_ERROR_BOUND,
-                };
-                if is_upgrade {
-                    prev_fidelity = inner.store.fidelity_of(key);
-                }
-                inner.store.insert(
-                    key,
-                    &spec.canonical(),
-                    StoredResult {
-                        result: result.clone(),
-                        fidelity: planned,
-                        error_bound,
-                    },
-                );
-                // A waiter that coalesced mid-run may demand more
-                // fidelity than this run delivered; go around again at
-                // the raised floor instead of settling short.
-                let floor = st.cells.get(&job).map_or(Fidelity::Hop, |c| c.floor);
-                if !is_upgrade && planned < floor {
-                    Next::Requeue(floor)
-                } else {
-                    Next::Publish(JobOutcome::Completed {
-                        result,
-                        cached: false,
-                        fidelity: planned,
-                        error_bound,
-                        queue_ns,
-                        run_ns,
-                    })
-                }
-            }
-            Err(err) => match st.cells.get_mut(&job) {
-                None => Next::Publish(JobOutcome::Failed {
-                    error: err.to_string(),
-                }),
-                Some(cell) => {
-                    let deadline_fired = cell.deadline_fired;
-                    if matches!(err, SimError::Cancelled { .. })
-                        || cancel.load(Ordering::Relaxed)
-                    {
-                        Next::Publish(if deadline_fired {
-                            JobOutcome::DeadlineExceeded
-                        } else {
-                            JobOutcome::Cancelled
-                        })
-                    } else if err.is_transient() && cell.attempts <= inner.config.retry_budget {
-                        let resume = now + backoff_delay(inner.config.retry_backoff, cell.attempts);
-                        if cell.deadline.is_some_and(|d| resume >= d) {
-                            Next::Publish(JobOutcome::Failed {
-                                error: format!("{err}; no retry budget left before the deadline"),
-                            })
-                        } else {
-                            Next::Retry(resume, cell.priority)
-                        }
-                    } else {
-                        Next::Publish(JobOutcome::Failed {
-                            error: err.to_string(),
-                        })
-                    }
-                }
-            },
-        };
-        match next {
-            Next::Retry(resume, priority) => {
-                if let Some(cell) = st.cells.get_mut(&job) {
-                    cell.phase = Phase::Queued;
-                    cell.not_before = Some(resume);
-                }
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.queue.push(QueueSlot { priority, seq, job });
-                st.queued += 1;
-                st.stats.retries += 1;
-                drop(st);
-                // notify_all: the retry may be gated, and only a timed
-                // waiter re-arms the backoff wake-up.
-                inner.work_cv.notify_all();
-            }
-            Next::Requeue(floor) => {
-                let priority = match st.cells.get_mut(&job) {
-                    Some(cell) => {
-                        cell.phase = Phase::Queued;
-                        cell.planned = floor;
-                        cell.not_before = None;
-                        cell.priority
-                    }
-                    None => Priority::Normal,
-                };
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.queue.push(QueueSlot { priority, seq, job });
-                st.queued += 1;
-                drop(st);
-                inner.work_cv.notify_all();
-            }
-            Next::Publish(outcome) => {
-                let mut spec_counters = (0u64, 0u64);
-                let mut degraded = false;
-                match &outcome {
-                    JobOutcome::Completed { result, fidelity, .. } => {
-                        st.stats.completed += 1;
-                        degraded = *fidelity < Fidelity::Reciprocal;
-                        if let Some(c) = &result.coupler {
-                            spec_counters = (c.spec_commits, c.spec_rollbacks);
-                            st.stats.spec_commits += c.spec_commits;
-                            st.stats.spec_rollbacks += c.spec_rollbacks;
-                        }
-                    }
-                    JobOutcome::Cancelled => st.stats.cancelled += 1,
-                    JobOutcome::DeadlineExceeded => st.stats.deadline_exceeded += 1,
-                    _ => st.stats.failed += 1,
-                }
-                // A degraded answer leaves an upgrade debt: journaled
-                // (so a restart re-owes it) and queued in memory for
-                // the idle drain. An upgrade run — success or not —
-                // clears its debt; a failed upgrade is written off
-                // rather than retried forever.
-                if is_upgrade {
-                    if let Some(journal) = &inner.journal {
-                        journal.upgraded(key);
-                    }
-                    if !degraded && matches!(outcome, JobOutcome::Completed { .. }) {
-                        st.stats.upgraded += 1;
-                        let from = prev_fidelity.unwrap_or(Fidelity::Hop);
-                        inner.obs.emit(|| Event::ResultUpgraded {
-                            job: key.0,
-                            from: from.name().to_owned(),
-                            to: Fidelity::Reciprocal.name().to_owned(),
-                        });
-                    }
-                } else if degraded {
-                    st.stats.degraded += 1;
-                    if st.upgrade_keys.insert(key.0) {
-                        st.upgrades.push_back(UpgradeIntent {
-                            key,
-                            spec: spec.canonical(),
-                        });
-                        if let Some(journal) = &inner.journal {
-                            journal.upgrade(key, &spec.canonical());
-                        }
-                    }
-                }
-                st.stats.upgrades_pending = st.upgrades.len() as u64;
-                let label = outcome.label();
-                let free = match st.cells.get_mut(&job) {
-                    Some(cell) => {
-                        cell.phase = Phase::Done(outcome);
-                        cell.interest == 0
-                    }
-                    None => false,
-                };
-                if free {
-                    st.cells.remove(&job);
-                }
-                st.inflight.remove(&key.0);
-                if !is_upgrade {
-                    journal_settle(inner, key, label);
-                }
-                maybe_compact_journal(inner, &mut st);
-                let wake_upgraders = !st.upgrades.is_empty() && st.queued == 0;
-                drop(st);
-                finish(inner, key, label, queue_ns, run_ns, spec_counters);
-                if wake_upgraders {
-                    // Idle workers only drain upgrades from inside the
-                    // pick loop; make sure one looks.
-                    inner.work_cv.notify_all();
-                }
-            }
-        }
+/// The deadline reaper: let the core sweep, then sleep until the next
+/// deadline it reports (or until a deadline-bearing job arrives).
+fn run_reaper(inner: &Inner) {
+    let mut core = inner.lock();
+    while !core.shutting_down {
+        let now = inner.now();
+        let next = core.tick(now);
+        inner.perform(&mut core);
+        core = park(&inner.reaper_cv, core, now, next);
     }
-}
-
-/// The deadline reaper: expires queued jobs whose deadline passed
-/// without a run, and raises the cancel flag of *running* jobs past
-/// theirs (exactly once — `deadline_fired`), so the engine's watchdog
-/// poll stops them cooperatively and they publish as
-/// [`JobOutcome::DeadlineExceeded`].
-fn reaper_loop(inner: &Inner) {
-    let mut st = lock_state(inner);
-    loop {
-        if st.shutting_down {
-            return;
-        }
-        let now = Instant::now();
-        let mut expired: Vec<JobId> = Vec::new();
-        let mut fire: Vec<JobId> = Vec::new();
-        let mut next_deadline: Option<Instant> = None;
-        for (&job, cell) in &st.cells {
-            let Some(deadline) = cell.deadline else {
-                continue;
-            };
-            match cell.phase {
-                Phase::Queued if now > deadline => expired.push(job),
-                Phase::Running if now > deadline => {
-                    if !cell.deadline_fired {
-                        fire.push(job);
-                    }
-                }
-                Phase::Queued | Phase::Running => {
-                    next_deadline = Some(next_deadline.map_or(deadline, |d| d.min(deadline)));
-                }
-                Phase::Done(_) => {}
-            }
-        }
-        for job in expired {
-            let Some(cell) = st.cells.get_mut(&job) else {
-                continue;
-            };
-            if !matches!(cell.phase, Phase::Queued) {
-                continue;
-            }
-            let key = cell.key;
-            let queue_ns = elapsed_ns(cell.submitted, now);
-            cell.phase = Phase::Done(JobOutcome::DeadlineExpired);
-            let free = cell.interest == 0;
-            if free {
-                st.cells.remove(&job);
-            }
-            st.inflight.remove(&key.0);
-            st.queued -= 1;
-            st.stats.expired += 1;
-            journal_settle(inner, key, "deadline_expired");
-            maybe_compact_journal(inner, &mut st);
-            finish(inner, key, "deadline_expired", queue_ns, 0, (0, 0));
-        }
-        for job in fire {
-            let Some(cell) = st.cells.get_mut(&job) else {
-                continue;
-            };
-            if !matches!(cell.phase, Phase::Running) || cell.deadline_fired {
-                continue;
-            }
-            cell.deadline_fired = true;
-            cell.cancel.store(true, Ordering::Relaxed);
-            let key = cell.key.0;
-            let overrun_ms = cell
-                .deadline
-                .map_or(0, |d| now.saturating_duration_since(d).as_millis() as u64);
-            inner.obs.emit(|| Event::DeadlineCancel {
-                job: key,
-                overrun_ms,
-            });
-        }
-        st = match next_deadline {
-            Some(at) => {
-                let wait = at
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_millis(1));
-                inner
-                    .reaper_cv
-                    .wait_timeout(st, wait)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
-            }
-            None => inner.reaper_cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-        };
-    }
-}
-
-/// Emits `job_done` and wakes waiters. The recorder lock is a leaf in
-/// the lock order (nothing holding it ever takes the state lock), so
-/// this is safe to call with or without the state lock held.
-fn finish(inner: &Inner, key: JobKey, label: &str, queue_ns: u64, run_ns: u64, spec: (u64, u64)) {
-    inner.obs.emit(|| Event::JobDone {
-        job: key.0,
-        outcome: label.to_owned(),
-        queue_ns,
-        run_ns,
-        spec_commits: spec.0,
-        spec_rollbacks: spec.1,
-    });
-    inner.done_cv.notify_all();
-}
-
-fn elapsed_ns(from: Instant, to: Instant) -> u64 {
-    to.saturating_duration_since(from).as_nanos() as u64
 }

@@ -83,12 +83,16 @@ pub struct StoreStats {
 impl StoreStats {
     /// Fraction of lookups served from cache (0 when none happened).
     pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        ratio(self.hits, self.hits + self.misses)
+    }
+}
+
+/// `part / whole`, or 0 when nothing was counted yet.
+pub(crate) fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 

@@ -52,8 +52,11 @@ use crate::json::Json;
 use crate::proto::{
     ErrorCode, OutcomeOk, Request, Response, ResultBody, SubmitItem, SubmitOk, WireError,
 };
-use crate::scheduler::{JobOutcome, JobService, Priority, Rejected, SubmitParams, WaitError};
+use crate::scheduler::{
+    JobOutcome, JobService, Priority, Rejected, ServiceStats, SubmitParams, WaitError,
+};
 use crate::spec::{Fidelity, JobSpec};
+use crate::store::ratio;
 
 /// Renders `err` and its `source()` chain as `a: b: c`.
 fn error_chain(err: &dyn std::error::Error) -> String {
@@ -73,60 +76,32 @@ pub(crate) fn ok_fields(mut fields: Vec<(&'static str, JsonField)>) -> String {
 }
 
 fn outcome_ok(outcome: &JobOutcome) -> OutcomeOk {
-    match outcome {
-        JobOutcome::Completed {
-            result,
-            cached,
-            fidelity,
-            error_bound,
-            queue_ns,
-            run_ns,
-        } => OutcomeOk {
-            outcome: if *cached { "cached" } else { "completed" }.into(),
-            detail: None,
-            queue_ns: Some(*queue_ns),
-            run_ns: Some(*run_ns),
-            body: Some(ResultBody {
-                workload: result.workload.clone(),
-                mode: result.mode.clone(),
-                cycles: result.cycles,
-                messages: result.messages,
-                ipc: result.ipc,
-                latency_mean: result.latency.mean(),
-                latency_count: result.latency.count(),
-                calibrations: result.calibrations,
-                fidelity: Some(fidelity.name().to_owned()),
-                error_bound: Some(*error_bound),
-            }),
-        },
-        JobOutcome::Failed { error } => OutcomeOk {
-            outcome: "failed".into(),
-            detail: Some(error.clone()),
-            queue_ns: None,
-            run_ns: None,
-            body: None,
-        },
-        JobOutcome::Cancelled => plain_outcome("cancelled"),
-        JobOutcome::DeadlineExpired => plain_outcome("deadline_expired"),
-        JobOutcome::DeadlineExceeded => plain_outcome("deadline_exceeded"),
-        JobOutcome::Poisoned { error } => OutcomeOk {
-            outcome: "poisoned".into(),
-            detail: Some(error.clone()),
-            queue_ns: None,
-            run_ns: None,
-            body: None,
-        },
-    }
-}
-
-fn plain_outcome(outcome: &str) -> OutcomeOk {
-    OutcomeOk {
-        outcome: outcome.into(),
+    let mut ok = OutcomeOk {
+        outcome: outcome.label().into(),
         detail: None,
         queue_ns: None,
         run_ns: None,
         body: None,
+    };
+    match outcome {
+        JobOutcome::Completed {
+            result,
+            fidelity,
+            error_bound,
+            queue_ns,
+            run_ns,
+            ..
+        } => {
+            ok.queue_ns = Some(*queue_ns);
+            ok.run_ns = Some(*run_ns);
+            ok.body = Some(ResultBody::from_run(result, *fidelity, *error_bound));
+        }
+        JobOutcome::Failed { error } | JobOutcome::Poisoned { error } => {
+            ok.detail = Some(error.clone())
+        }
+        JobOutcome::Cancelled | JobOutcome::DeadlineExpired | JobOutcome::DeadlineExceeded => {}
     }
+    ok
 }
 
 /// Dispatches one typed request against the service — the single verb
@@ -355,44 +330,14 @@ pub fn handle_request(service: &JobService, line: &str) -> String {
 /// The counter snapshot rendered by the `stats` and `node_stats` verbs.
 fn stats_fields(service: &JobService) -> Vec<(&'static str, JsonField)> {
     let stats = service.stats();
+    let mut fields: Vec<(&'static str, JsonField)> = ServiceStats::COUNTERS
+        .iter()
+        .map(|&(name, get, ..)| (name, JsonField::Int(get(&stats))))
+        .collect();
     let memoized = stats.cache_hits + stats.coalesced;
-    let memo_ratio = if stats.submitted == 0 {
-        0.0
-    } else {
-        memoized as f64 / stats.submitted as f64
-    };
-    vec![
-        ("submitted", JsonField::Int(stats.submitted)),
-        ("admitted", JsonField::Int(stats.admitted)),
-        ("rejected", JsonField::Int(stats.rejected)),
-        ("coalesced", JsonField::Int(stats.coalesced)),
-        ("cache_hits", JsonField::Int(stats.cache_hits)),
-        ("completed", JsonField::Int(stats.completed)),
-        ("failed", JsonField::Int(stats.failed)),
-        ("cancelled", JsonField::Int(stats.cancelled)),
-        ("expired", JsonField::Int(stats.expired)),
-        ("deadline_exceeded", JsonField::Int(stats.deadline_exceeded)),
-        ("poisoned", JsonField::Int(stats.poisoned)),
-        ("retries", JsonField::Int(stats.retries)),
-        ("respawns", JsonField::Int(stats.respawns)),
-        ("journal_compactions", JsonField::Int(stats.journal_compactions)),
-        ("recovered_results", JsonField::Int(stats.recovered_results)),
-        ("resumed_jobs", JsonField::Int(stats.resumed_jobs)),
-        ("spec_commits", JsonField::Int(stats.spec_commits)),
-        ("spec_rollbacks", JsonField::Int(stats.spec_rollbacks)),
-        ("queue_depth", JsonField::Int(stats.queue_depth as u64)),
-        ("shed", JsonField::Int(stats.shed)),
-        ("degraded", JsonField::Int(stats.degraded)),
-        ("upgraded", JsonField::Int(stats.upgraded)),
-        ("upgrades_pending", JsonField::Int(stats.upgrades_pending)),
-        ("brownout", JsonField::Int(stats.brownout)),
-        ("store_hits", JsonField::Int(stats.store.hits)),
-        ("store_misses", JsonField::Int(stats.store.misses)),
-        ("insertions", JsonField::Int(stats.store.insertions)),
-        ("evictions", JsonField::Int(stats.store.evictions)),
-        ("hit_ratio", JsonField::Num(stats.store.hit_ratio())),
-        ("memo_ratio", JsonField::Num(memo_ratio)),
-    ]
+    fields.push(("hit_ratio", JsonField::Num(stats.store.hit_ratio())));
+    fields.push(("memo_ratio", JsonField::Num(ratio(memoized, stats.submitted))));
+    fields
 }
 
 /// A bound, not-yet-running wire server.
