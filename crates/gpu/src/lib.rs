@@ -56,8 +56,8 @@
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use parking_lot::RwLock;
@@ -71,6 +71,72 @@ use ra_sim::SimError;
 /// Relative cost of stepping a live router vs. liveness-checking an idle
 /// one, used to balance worker ranges when activity is skewed.
 const LIVE_WEIGHT: u64 = 16;
+
+/// Polls, one pause hint apart, a [`SpinBarrier`] waiter makes before it
+/// parks: some tens of microseconds on the 2-core host, about two cycles
+/// of one worker's share of a 256-router mesh.
+const SPIN_POLLS: u32 = 1024;
+
+/// The worker-only barrier inside a batch. Its parties are workers that
+/// each just finished a phase of similar size, so the last one is usually
+/// microseconds away: waiters poll before they park, and a crossing then
+/// costs no futex wake-up, which on a VM is an inter-processor interrupt
+/// whose latency follows the host's load. The batch's start and end
+/// barriers, which the coordinator joins, stay `std` ones, so a parked
+/// coordinator never spins against its own workers.
+struct SpinBarrier {
+    parties: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    /// Waiters parked on `cv`; the releaser skips the wake-up when none.
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl SpinBarrier {
+    fn new(parties: usize) -> Self {
+        SpinBarrier {
+            parties,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn wait(&self) {
+        let generation = self.generation.load(Ordering::Acquire);
+        // AcqRel: the last arriver acquires every earlier party's writes,
+        // and its generation store below releases them to all.
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // No party arrives again before it sees the new generation.
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(generation.wrapping_add(1), Ordering::SeqCst);
+            // SeqCst pairs with the waiter's `sleepers` increment and
+            // generation check: either it sees the new generation, or
+            // this sees it counted and wakes it under the lock.
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+                self.cv.notify_all();
+            }
+            return;
+        }
+        for _ in 0..SPIN_POLLS {
+            if self.generation.load(Ordering::Acquire) != generation {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while self.generation.load(Ordering::SeqCst) == generation {
+            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 /// A snapshot of the raw pointers a batch's phases operate on.
 ///
@@ -144,12 +210,12 @@ struct SharedState {
     /// Batch end rendezvous: all workers + the coordinator.
     end: Barrier,
     /// Compute→send rendezvous within a cycle: workers only.
-    mid: Barrier,
+    mid: SpinBarrier,
     /// Send→next-compute rendezvous between batch cycles: workers only.
     /// This is the fusion: the coordinator never joins it, so consecutive
     /// cycles of a batch cost two worker-only barriers instead of a full
     /// end + start pair.
-    boundary: Barrier,
+    boundary: SpinBarrier,
     job: RwLock<Job>,
     /// Bit `c` set = some router moved a flit in the batch's `c`-th cycle
     /// (ORed in by workers, consumed by `finish_batch`).
@@ -247,8 +313,8 @@ impl ParallelEngine {
         let shared = Arc::new(SharedState {
             start: Barrier::new(workers + 1),
             end: Barrier::new(workers + 1),
-            mid: Barrier::new(workers),
-            boundary: Barrier::new(workers),
+            mid: SpinBarrier::new(workers),
+            boundary: SpinBarrier::new(workers),
             job: RwLock::new(Job::empty()),
             active_bits: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -761,6 +827,39 @@ mod tests {
     fn drop_joins_cleanly() {
         let engine = ParallelEngine::new(4);
         drop(engine); // must not hang or panic
+    }
+
+    #[test]
+    fn spin_barrier_publishes_every_round_spinning_or_parked() {
+        // Each party writes its round number, crosses, and must then see
+        // every party's write. Party 0 sleeps past the spin window on
+        // some rounds, so the others park there and must be woken.
+        const PARTIES: usize = 3;
+        const ROUNDS: u64 = 200;
+        let barrier = Arc::new(SpinBarrier::new(PARTIES));
+        let slots: Arc<Vec<AtomicU64>> =
+            Arc::new((0..PARTIES).map(|_| AtomicU64::new(0)).collect());
+        let handles: Vec<_> = (0..PARTIES)
+            .map(|me| {
+                let (barrier, slots) = (Arc::clone(&barrier), Arc::clone(&slots));
+                std::thread::spawn(move || {
+                    for round in 1..=ROUNDS {
+                        if me == 0 && round % 20 == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                        }
+                        slots[me].store(round, Ordering::Relaxed);
+                        barrier.wait();
+                        for slot in slots.iter() {
+                            assert_eq!(slot.load(Ordering::Relaxed), round);
+                        }
+                        barrier.wait();
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().expect("no party panicked");
+        }
     }
 
     #[test]

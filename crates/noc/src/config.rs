@@ -1,10 +1,11 @@
 //! NoC configuration.
 
-use ra_sim::{ConfigError, MeshShape};
+use ra_sim::{ConfigError, MeshShape, MessageClass};
 use serde::{Deserialize, Serialize};
 
 use crate::chiplet::ChipletSpec;
 use crate::fault::FaultPlan;
+use crate::router::{MAX_PORTS, MAX_VCS, MAX_VC_DEPTH};
 
 /// Network topology of the cycle-level NoC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -213,13 +214,12 @@ impl NocConfig {
     /// * the routing is O1TURN and `vcs_per_vnet < 2` (each dimension order
     ///   needs its own VCs);
     /// * the topology is a CMesh whose concentration does not evenly divide
-    ///   the node grid columns and rows.
+    ///   the node grid columns and rows;
+    /// * a router's state cannot index it: over 64 VCs per port (21 per vnet),
+    ///   32 ports (concentration 28), a depth of 255, or 65,536 routers.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.vcs_per_vnet == 0 {
             return Err(ConfigError::new("vcs_per_vnet must be positive"));
-        }
-        if self.vcs_per_vnet > 64 {
-            return Err(ConfigError::new("vcs_per_vnet must be <= 64"));
         }
         if self.vc_depth == 0 {
             return Err(ConfigError::new("vc_depth must be positive"));
@@ -261,6 +261,23 @@ impl NocConfig {
                     "concentration {concentration} must divide mesh columns {}",
                     self.shape.cols()
                 )));
+            }
+        }
+        // What a router's state can index: `u64` VC masks, `u32` port masks,
+        // `u8` ring indices, and `u16` flit destinations.
+        let concentration = match self.topology {
+            TopologyKind::CMesh { concentration } => concentration as usize,
+            _ => 1,
+        };
+        let vcs = self.vcs_per_vnet as usize * MessageClass::COUNT;
+        for (name, value, max) in [
+            ("VCs per port", vcs, MAX_VCS as usize),
+            ("vc_depth", self.vc_depth as usize, MAX_VC_DEPTH as usize),
+            ("ports per router", concentration + 4, MAX_PORTS as usize),
+            ("routers", self.shape.nodes() / concentration, 1 << 16),
+        ] {
+            if value > max {
+                return Err(ConfigError::new(format!("{name} {value} exceeds {max}")));
             }
         }
         self.faults.validate()?;
@@ -329,6 +346,36 @@ mod tests {
         assert_eq!(NocConfig::new(4, 4).routers(), 16);
         let cmesh = NocConfig::new(8, 4).with_topology(TopologyKind::CMesh { concentration: 2 });
         assert_eq!(cmesh.routers(), 16);
+    }
+
+    #[test]
+    fn at_most_64_vcs_per_port() {
+        let cfg = |vcs| NocConfig::new(4, 4).with_vcs_per_vnet(vcs);
+        assert!(cfg(21).validate().is_ok());
+        assert!(cfg(22).validate().is_err());
+    }
+
+    #[test]
+    fn vc_depth_fits_the_ring_index() {
+        assert!(NocConfig::new(4, 4).with_vc_depth(255).validate().is_ok());
+        assert!(NocConfig::new(4, 4).with_vc_depth(256).validate().is_err());
+    }
+
+    #[test]
+    fn at_most_32_router_ports() {
+        let cmesh =
+            |c| NocConfig::new(56, 2).with_topology(TopologyKind::CMesh { concentration: c });
+        assert!(cmesh(28).validate().is_ok());
+        assert!(cmesh(56).validate().is_err());
+    }
+
+    #[test]
+    fn at_most_65536_routers() {
+        assert!(NocConfig::new(256, 256).validate().is_ok());
+        assert!(NocConfig::new(256, 257).validate().is_err());
+        let cmesh =
+            NocConfig::new(512, 256).with_topology(TopologyKind::CMesh { concentration: 2 });
+        assert!(cmesh.validate().is_ok());
     }
 
     #[test]

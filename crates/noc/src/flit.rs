@@ -6,9 +6,10 @@ use serde::{Deserialize, Serialize};
 pub type PacketId = u32;
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FlitKind {
     /// First flit: carries routing information.
+    #[default]
     Head,
     /// Interior flit.
     Body,
@@ -37,7 +38,7 @@ impl FlitKind {
 /// Flits carry everything a router needs to process them (destination, vnet,
 /// routing metadata), so routers never consult shared packet state — a
 /// prerequisite for the data-parallel execution engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Flit {
     /// Owning packet.
     pub pkt: PacketId,

@@ -18,12 +18,24 @@
 //!
 //! # Hot-path layout
 //!
-//! Per-VC state is stored struct-of-arrays (`vc_state`, `vc_out_port`, …)
-//! so the allocator scans touch dense, homogeneous arrays instead of
-//! chasing through per-VC structs, and all per-cycle temporaries of the
-//! switch allocator live in scratch vectors owned by the router — the
-//! steady-state step path performs **zero heap allocations** (enforced by
-//! the counting-allocator test in `tests/no_alloc.rs`).
+//! Per-VC state is struct-of-arrays indexed `port * total_vcs + vc`, and
+//! flits sit in one flat ring sized at construction (VC `i` owns slots
+//! `i * vc_depth ..`, with a `u8` head and length), so the step path makes
+//! **zero heap allocations** (`tests/no_alloc.rs`). No allocator scans VCs:
+//! each input port keeps `u64` masks, one bit per VC, of its `routed`,
+//! `active` and `non_empty` VCs, changed only by `set_state`, `push_flit`
+//! and `pop_flit` and checked by [`Router::audit`]. Route compute walks
+//! `non_empty & !(routed | active)`, VC allocation `routed`, switch
+//! allocation `active & non_empty` and then per-output request masks, and
+//! the NI's free-VC search its vnet's band.
+//!
+//! Set-bit order is scan order. Each allocator visits candidates ascending,
+//! or round-robin from a pointer `s`. A mask rotated right by `s` holds bits
+//! `s..` at positions `0..` and bits `..s` above them, so its ascending set
+//! bits are the wrap-around order from `s`, restricted to candidates.
+//! Visiting a VC changes only that VC's bits, so walking a mask read up
+//! front meets the same VCs as testing each in turn: every grant and counter
+//! comes out as the scans produced them (`tests/golden.rs` pins them).
 //!
 //! # Clock gating
 //!
@@ -47,8 +59,13 @@ use crate::stats::FaultStats;
 use crate::topology::TopologyMap;
 use crate::wire::{Credit, Wire, Wires};
 
-/// Sentinel for "no input port / no VC" in the allocator scratch tables and
-/// the output-VC owner table.
+/// Limits of a router's state (`NocConfig::validate` enforces them): `u32`
+/// port masks, `u64` VC masks, and `u8` ring heads and lengths.
+pub(crate) const MAX_PORTS: u32 = 32;
+pub(crate) const MAX_VCS: u32 = 64;
+pub(crate) const MAX_VC_DEPTH: u32 = u8::MAX as u32;
+
+/// Sentinel for "no input VC" in the output-VC owner table.
 const NONE_IDX: u32 = u32::MAX;
 
 /// State of an input virtual channel.
@@ -60,6 +77,14 @@ enum VcState {
     Routed,
     /// Output VC allocated; flits may traverse the switch.
     Active,
+}
+
+/// One input port's occupancy masks, bit `vc` per VC (see the module doc).
+#[derive(Debug, Clone, Copy, Default)]
+struct VcMasks {
+    routed: u64,
+    active: u64,
+    non_empty: u64,
 }
 
 /// A packet waiting in a node interface source queue.
@@ -123,9 +148,10 @@ pub struct Router {
     routing: Routing,
     torus: bool,
     // --- per-VC state, struct-of-arrays, indexed `port * total_vcs + vc` ---
-    /// Input VC buffers. Capacity is reserved to `vc_depth` up front and
-    /// occupancy never exceeds it, so pushes never reallocate.
-    vc_buf: Vec<VecDeque<Flit>>,
+    /// Flat flit ring: input VC `i` owns slots `i * vc_depth ..`.
+    vc_ring: Vec<Flit>,
+    vc_head: Vec<u8>,
+    vc_len: Vec<u8>,
     vc_state: Vec<VcState>,
     vc_out_port: Vec<u32>,
     vc_out_vc: Vec<u32>,
@@ -136,18 +162,15 @@ pub struct Router {
     /// Flattened input-VC index owning each output VC ([`NONE_IDX`] = free).
     ovc_owner: Vec<u32>,
     // --- per-port state ---
+    masks: Vec<VcMasks>,
     out_staging: Vec<Option<Flit>>,
     credit_staging: Vec<Option<Credit>>,
     ni: Vec<LocalIface>,
-    va_ptr: u32,
+    /// VC-allocation round-robin pointer, flat `va_port * total_vcs + va_vc`.
+    va_port: u32,
+    va_vc: u32,
     sa_vc_ptr: Vec<u32>,
     sa_port_ptr: Vec<u32>,
-    // --- allocator scratch, reused every cycle (never reallocated) ---
-    /// Per input port: the nominated `(vc, out_port)`, `vc == NONE_IDX`
-    /// meaning no nomination.
-    sa_candidate: Vec<(u32, u32)>,
-    /// Per output port: the granted input port (`NONE_IDX` = none).
-    sa_granted: Vec<u32>,
     // --- activity bookkeeping (clock gating) ---
     /// Flits currently buffered in input VCs.
     buffered: u32,
@@ -214,23 +237,23 @@ impl Router {
             vc_depth: cfg.vc_depth,
             routing: cfg.routing,
             torus: matches!(cfg.topology, TopologyKind::Torus),
-            vc_buf: (0..n_vcs)
-                .map(|_| VecDeque::with_capacity(cfg.vc_depth as usize))
-                .collect(),
+            vc_ring: vec![Flit::default(); n_vcs * cfg.vc_depth as usize],
+            vc_head: vec![0; n_vcs],
+            vc_len: vec![0; n_vcs],
             vc_state: vec![VcState::Idle; n_vcs],
             vc_out_port: vec![0; n_vcs],
             vc_out_vc: vec![0; n_vcs],
             vc_next_class: vec![0; n_vcs],
             ovc_credits: vec![cfg.vc_depth; n_vcs],
             ovc_owner: vec![NONE_IDX; n_vcs],
+            masks: vec![VcMasks::default(); ports as usize],
             out_staging: vec![None; ports as usize],
             credit_staging: vec![None; ports as usize],
             ni,
-            va_ptr: 0,
+            va_port: 0,
+            va_vc: 0,
             sa_vc_ptr: vec![0; ports as usize],
             sa_port_ptr: vec![0; ports as usize],
-            sa_candidate: vec![(NONE_IDX, 0); ports as usize],
-            sa_granted: vec![NONE_IDX; ports as usize],
             buffered: 0,
             ni_work: 0,
             staged: 0,
@@ -264,6 +287,57 @@ impl Router {
     #[inline]
     fn ivc_index(&self, port: u32, vc: u32) -> usize {
         (port * self.total_vcs + vc) as usize
+    }
+
+    /// Moves input VC `(port, vc)` to `state`, keeping the masks in step.
+    #[inline]
+    fn set_state(&mut self, port: u32, vc: u32, state: VcState) {
+        let idx = self.ivc_index(port, vc);
+        self.vc_state[idx] = state;
+        let m = &mut self.masks[port as usize];
+        m.routed = (m.routed & !(1 << vc)) | (u64::from(state == VcState::Routed) << vc);
+        m.active = (m.active & !(1 << vc)) | (u64::from(state == VcState::Active) << vc);
+    }
+
+    #[inline]
+    fn vc_full(&self, idx: usize) -> bool {
+        u32::from(self.vc_len[idx]) >= self.vc_depth
+    }
+
+    /// The flit at the front of input VC `idx`, if any.
+    #[inline]
+    fn front(&self, idx: usize) -> Option<Flit> {
+        (self.vc_len[idx] != 0)
+            .then(|| self.vc_ring[idx * self.vc_depth as usize + usize::from(self.vc_head[idx])])
+    }
+
+    /// Appends `flit` to input VC `(port, vc)`, which the caller checked is not full.
+    #[inline]
+    fn push_flit(&mut self, port: u32, vc: u32, flit: Flit) {
+        let idx = self.ivc_index(port, vc);
+        let depth = self.vc_depth as usize;
+        let slot = usize::from(self.vc_head[idx]) + usize::from(self.vc_len[idx]);
+        let slot = if slot < depth { slot } else { slot - depth };
+        self.vc_ring[idx * depth + slot] = flit;
+        self.vc_len[idx] += 1;
+        self.masks[port as usize].non_empty |= 1 << vc;
+        self.buffered += 1;
+        self.stats.buffer_writes += 1;
+    }
+
+    /// Removes the front flit of input VC `(port, vc)`.
+    #[inline]
+    fn pop_flit(&mut self, port: u32, vc: u32) -> Option<Flit> {
+        let idx = self.ivc_index(port, vc);
+        let flit = self.front(idx)?;
+        let (next, depth) = (u32::from(self.vc_head[idx]) + 1, self.vc_depth);
+        self.vc_head[idx] = if next < depth { next as u8 } else { 0 };
+        self.vc_len[idx] -= 1;
+        if self.vc_len[idx] == 0 {
+            self.masks[port as usize].non_empty &= !(1 << vc);
+        }
+        self.buffered -= 1;
+        Some(flit)
     }
 
     /// Queues a packet at the node interface of `local` port.
@@ -371,11 +445,16 @@ impl Router {
     }
 
     /// Cross-checks this router's internal bookkeeping: credit counts stay
-    /// within buffer depth, buffers stay within depth, every owned output
-    /// VC points at an active input VC, and the clock-gating work counters
-    /// agree with the state they summarize.
+    /// within buffer depth, ring heads and lengths stay within depth, every
+    /// owned output VC points at an active input VC, the occupancy masks
+    /// agree with `vc_state` and ring occupancy, and the clock-gating work
+    /// counters agree with the state they summarize.
     pub(crate) fn audit(&self) -> Result<(), String> {
         for port in 0..self.ports {
+            let m = self.masks[port as usize];
+            if (m.routed | m.active | m.non_empty) >> (self.total_vcs - 1) > 1 {
+                return Err(format!("router {}: port {port} stray mask bits", self.id));
+            }
             for vc in 0..self.total_vcs {
                 let idx = self.ivc_index(port, vc);
                 if self.ovc_credits[idx] > self.vc_depth {
@@ -385,30 +464,36 @@ impl Router {
                     ));
                 }
                 let owner = self.ovc_owner[idx];
-                if owner != NONE_IDX {
-                    match self.vc_state.get(owner as usize) {
-                        Some(VcState::Active) => {}
-                        _ => {
-                            return Err(format!(
-                                "router {}: output vc ({port},{vc}) owned by \
-                                 non-active input vc {owner}",
-                                self.id
-                            ));
-                        }
-                    }
-                }
-                if self.vc_buf[idx].len() > self.vc_depth as usize {
+                if owner != NONE_IDX && self.vc_state.get(owner as usize) != Some(&VcState::Active)
+                {
                     return Err(format!(
-                        "router {}: input vc ({port},{vc}) buffers {} flits, depth {}",
-                        self.id,
-                        self.vc_buf[idx].len(),
-                        self.vc_depth
+                        "router {}: output vc ({port},{vc}) owned by non-active input vc {owner}",
+                        self.id
+                    ));
+                }
+                let (head, len) = (u32::from(self.vc_head[idx]), u32::from(self.vc_len[idx]));
+                let state = self.vc_state[idx];
+                let bit = |mask: u64| (mask >> vc) & 1 == 1;
+                if head >= self.vc_depth || len > self.vc_depth {
+                    return Err(format!(
+                        "router {}: input vc ({port},{vc}) ring head {head} length {len}, \
+                         depth {}",
+                        self.id, self.vc_depth
+                    ));
+                }
+                if (bit(m.routed), bit(m.active), bit(m.non_empty))
+                    != (state == VcState::Routed, state == VcState::Active, len > 0)
+                {
+                    return Err(format!(
+                        "router {}: input vc ({port},{vc}) masks disagree with state \
+                         {state:?} and {len} buffered flits",
+                        self.id
                     ));
                 }
             }
         }
-        let buffered: usize = self.vc_buf.iter().map(VecDeque::len).sum();
-        if buffered != self.buffered as usize {
+        let buffered: u32 = self.vc_len.iter().map(|&l| u32::from(l)).sum();
+        if buffered != self.buffered {
             return Err(format!(
                 "router {}: buffered-flit counter {} disagrees with buffers ({buffered})",
                 self.id, self.buffered
@@ -453,6 +538,13 @@ impl Router {
         self.ovc_credits[idx] = self.vc_depth + 3;
     }
 
+    /// Test hook: flips VC 0's `routed` bit on the first link port, so the
+    /// masks disagree with `vc_state` and the next audit fails.
+    #[doc(hidden)]
+    pub fn debug_corrupt_masks(&mut self) {
+        self.masks[self.locals as usize].routed ^= 1;
+    }
+
     /// Phase 1: consume wires, run SA/ST, VA, RC, and NI injection.
     ///
     /// A router frozen by a scripted [`RouterStall`](crate::FaultEvent)
@@ -465,9 +557,11 @@ impl Router {
         // advanced, so catching it up here makes gated schedules
         // bit-identical to ungated ones.
         if now > self.clock {
-            let skipped = now - self.clock;
-            let n = u64::from(self.ports * self.total_vcs);
-            self.va_ptr = ((u64::from(self.va_ptr) + skipped) % n) as u32;
+            let vcs = u64::from(self.total_vcs);
+            let flat = u64::from(self.va_port) * vcs + u64::from(self.va_vc) + (now - self.clock);
+            let flat = flat % (u64::from(self.ports) * vcs);
+            self.va_port = (flat / vcs) as u32;
+            self.va_vc = (flat % vcs) as u32;
         }
         self.clock = now + 1;
         self.compute_calls += 1;
@@ -544,54 +638,48 @@ impl Router {
             if self.link_dead(port, now) {
                 continue; // dead channels return no credits
             }
-            if let Some((dst_router, dst_in_port)) = topo.link_dst(self.id, port) {
-                let wire = &wires.credits[wires.index(dst_router, dst_in_port)];
-                if let Some(vc) = wire.read(now) {
-                    let idx = self.ivc_index(port, u32::from(vc));
-                    if self.ovc_credits[idx] >= self.vc_depth {
-                        self.poison(format!(
-                            "credit overflow on router {} port {port} vc {vc}",
-                            self.id
-                        ));
-                        continue;
-                    }
-                    self.ovc_credits[idx] += 1;
-                }
+            let Some((dst_router, dst_in_port)) = topo.link_dst(self.id, port) else {
+                continue;
+            };
+            let Some(vc) = wires.credits[wires.index(dst_router, dst_in_port)].read(now) else {
+                continue;
+            };
+            let idx = self.ivc_index(port, u32::from(vc));
+            if self.ovc_credits[idx] >= self.vc_depth {
+                self.poison(format!(
+                    "credit overflow on router {} port {port} vc {vc}",
+                    self.id
+                ));
+                continue;
             }
+            self.ovc_credits[idx] += 1;
         }
     }
 
     /// Pulls flits sent by upstream routers into input buffers.
     fn receive_flits(&mut self, topo: &TopologyMap, wires: &Wires, now: u64) {
         for port in self.locals..self.ports {
+            let Some((src_router, src_out_port)) = topo.link_src(self.id, port) else {
+                continue;
+            };
+            let Some(flit) = wires.flits[wires.index(src_router, src_out_port)].read(now) else {
+                continue;
+            };
             if self.link_dead(port, now) {
                 // Flits in transit when the channel died expire unread.
-                if let Some((src_router, src_out_port)) = topo.link_src(self.id, port) {
-                    let wire = &wires.flits[wires.index(src_router, src_out_port)];
-                    if wire.read(now).is_some() {
-                        self.fault_events.flits_dropped_dead += 1;
-                    }
-                }
+                self.fault_events.flits_dropped_dead += 1;
                 continue;
             }
-            if let Some((src_router, src_out_port)) = topo.link_src(self.id, port) {
-                let wire = &wires.flits[wires.index(src_router, src_out_port)];
-                if let Some(flit) = wire.read(now) {
-                    let idx = self.ivc_index(port, u32::from(flit.vc));
-                    let depth = self.vc_depth as usize;
-                    if self.vc_buf[idx].len() >= depth {
-                        self.poison(format!(
-                            "buffer overflow: credits out of sync on router {} port {port} vc {}",
-                            self.id, flit.vc
-                        ));
-                        continue;
-                    }
-                    self.vc_buf[idx].push_back(flit);
-                    self.buffered += 1;
-                    self.stats.buffer_writes += 1;
-                    self.stats.active = true;
-                }
+            let vc = u32::from(flit.vc);
+            if self.vc_full(self.ivc_index(port, vc)) {
+                self.poison(format!(
+                    "buffer overflow: credits out of sync on router {} port {port} vc {vc}",
+                    self.id
+                ));
+                continue;
             }
+            self.push_flit(port, vc, flit);
+            self.stats.active = true;
         }
     }
 
@@ -606,87 +694,58 @@ impl Router {
             let start = self.ni[li].vnet_rr;
             for k in 0..vnets {
                 let v = ((start + k) % vnets) as usize;
-                if let Some(mut inj) = self.ni[li].cur[v] {
-                    let idx = self.ivc_index(local, inj.vc);
-                    if self.vc_buf[idx].len() < self.vc_depth as usize {
-                        let mut flit = inj.template;
-                        flit.kind = kind_at(inj.sent, inj.total);
-                        flit.vc = inj.vc as u8;
-                        self.vc_buf[idx].push_back(flit);
-                        self.buffered += 1;
-                        self.stats.buffer_writes += 1;
-                        inj.sent += 1;
-                        if inj.sent == inj.total {
-                            self.ni[li].cur[v] = None;
-                            self.ni_work -= 1;
-                        } else {
-                            self.ni[li].cur[v] = Some(inj);
+                let mut inj = match self.ni[li].cur[v] {
+                    Some(inj) if self.vc_full(self.ivc_index(local, inj.vc)) => continue,
+                    Some(inj) => inj,
+                    None => {
+                        // A new packet takes its vnet band's lowest idle, empty VC.
+                        let (m, width) = (self.masks[li], self.vcs_per_vnet);
+                        let band = ((1u64 << width) - 1) << (v as u32 * width);
+                        let free = band & !(m.routed | m.active | m.non_empty);
+                        if free == 0 {
+                            continue;
                         }
-                        if flit.kind.is_head() {
-                            self.net_started.push((flit.pkt, now));
-                        }
-                        self.stats.active = true;
-                        self.ni[li].vnet_rr = (start + k + 1) % vnets;
-                        break;
-                    }
-                } else if !self.ni[li].queues[v].is_empty() {
-                    // Find a free local input VC in this vnet's band.
-                    let base = v as u32 * self.vcs_per_vnet;
-                    let free = (base..base + self.vcs_per_vnet).find(|&vc| {
-                        let idx = self.ivc_index(local, vc);
-                        self.vc_state[idx] == VcState::Idle && self.vc_buf[idx].is_empty()
-                    });
-                    if let Some(vc) = free {
                         let Some(pending) = self.ni[li].queues[v].pop_front() else {
-                            self.poison(format!(
-                                "NI queue emptied under us on router {} local {local} vnet {v}",
-                                self.id
-                            ));
                             continue;
                         };
-                        let route_hint = if matches!(self.routing, Routing::O1Turn) {
-                            (self.ni[li].rng.next_u32() & 1) as u8
-                        } else {
-                            0
+                        let route_hint = match self.routing {
+                            Routing::O1Turn => (self.ni[li].rng.next_u32() & 1) as u8,
+                            _ => 0,
                         };
-                        let template = Flit {
-                            pkt: pending.pkt,
-                            dst_router: pending.dst_router,
-                            dst_local: pending.dst_local,
-                            vnet: v as u8,
-                            kind: FlitKind::Head,
-                            vc: vc as u8,
-                            class_bit: 0,
-                            route_hint,
-                        };
-                        let mut inj = ActiveInjection {
-                            vc,
+                        ActiveInjection {
+                            vc: free.trailing_zeros(),
                             sent: 0,
                             total: pending.flits,
-                            template,
-                        };
-                        let idx = self.ivc_index(local, vc);
-                        let mut flit = template;
-                        flit.kind = kind_at(0, inj.total);
-                        self.vc_buf[idx].push_back(flit);
-                        self.buffered += 1;
-                        self.stats.buffer_writes += 1;
-                        inj.sent = 1;
-                        // The queue slot (counted in `ni_work`) becomes an
-                        // active injection (also counted) unless the packet
-                        // was a single flit and is already fully streamed.
-                        if inj.sent == inj.total {
-                            self.ni[li].cur[v] = None;
-                            self.ni_work -= 1;
-                        } else {
-                            self.ni[li].cur[v] = Some(inj);
+                            template: Flit {
+                                pkt: pending.pkt,
+                                dst_router: pending.dst_router,
+                                dst_local: pending.dst_local,
+                                vnet: v as u8,
+                                route_hint,
+                                ..Flit::default()
+                            },
                         }
-                        self.net_started.push((flit.pkt, now));
-                        self.stats.active = true;
-                        self.ni[li].vnet_rr = (start + k + 1) % vnets;
-                        break;
                     }
+                };
+                let mut flit = inj.template;
+                flit.kind = kind_at(inj.sent, inj.total);
+                flit.vc = inj.vc as u8;
+                self.push_flit(local, inj.vc, flit);
+                inj.sent += 1;
+                // A queued packet (counted in `ni_work`) stays counted as an
+                // active injection until its last flit is streamed.
+                if inj.sent == inj.total {
+                    self.ni[li].cur[v] = None;
+                    self.ni_work -= 1;
+                } else {
+                    self.ni[li].cur[v] = Some(inj);
                 }
+                if flit.kind.is_head() {
+                    self.net_started.push((flit.pkt, now));
+                }
+                self.stats.active = true;
+                self.ni[li].vnet_rr = (start + k + 1) % vnets;
+                break;
             }
         }
     }
@@ -694,72 +753,57 @@ impl Router {
     /// Switch allocation + switch traversal: one grant per input port, one
     /// per output port, round-robin priorities, traversal in the same cycle.
     ///
-    /// All temporaries live in the router-owned scratch tables
-    /// (`sa_candidate`, `sa_granted`) — this is the per-cycle hot path and
-    /// it must not allocate.
+    /// The nominations and request masks live on the stack — this is the
+    /// per-cycle hot path and it must not allocate.
     fn switch_allocate_and_traverse(&mut self, now: u64) {
-        // Stage 1: each input port nominates one ready VC.
-        self.sa_candidate.fill((NONE_IDX, 0));
+        // Stage 1: each input port nominates its first VC, round-robin from
+        // `sa_vc_ptr`, that is active, holds a flit, and has a downstream
+        // credit (ejection needs none); `requests[o]` collects output `o`'s.
+        let mut nominee = [0u32; MAX_PORTS as usize];
+        let mut requests = [0u32; MAX_PORTS as usize];
+        let mut requested = 0u32;
         for port in 0..self.ports {
+            let m = self.masks[port as usize];
             let start = self.sa_vc_ptr[port as usize];
-            for k in 0..self.total_vcs {
-                let vc = (start + k) % self.total_vcs;
+            let mut ready = (m.active & m.non_empty).rotate_right(start);
+            while ready != 0 {
+                let vc = (ready.trailing_zeros() + start) & (MAX_VCS - 1);
+                ready &= ready - 1;
                 let idx = self.ivc_index(port, vc);
-                if self.vc_state[idx] != VcState::Active || self.vc_buf[idx].is_empty() {
-                    continue;
-                }
                 let out_port = self.vc_out_port[idx];
-                let is_local_out = out_port < self.locals;
-                if !is_local_out
+                if out_port >= self.locals
                     && self.ovc_credits[self.ivc_index(out_port, self.vc_out_vc[idx])] == 0
                 {
                     continue;
                 }
-                self.sa_candidate[port as usize] = (vc, out_port);
+                nominee[port as usize] = vc;
+                requests[out_port as usize] |= 1 << port;
+                requested |= 1 << out_port;
                 break;
             }
         }
-        // Stage 2: each output port grants one nominating input port.
-        self.sa_granted.fill(NONE_IDX);
-        for out_port in 0..self.ports {
+        // Stage 2 + traversal, output ports ascending: each grants its first
+        // requester round-robin from `sa_port_ptr`. An input port nominated
+        // a single output, so grants are independent of one another.
+        while requested != 0 {
+            let out_port = requested.trailing_zeros();
+            requested &= requested - 1;
             let start = self.sa_port_ptr[out_port as usize];
-            for k in 0..self.ports {
-                let p = (start + k) % self.ports;
-                let (vc, req_out) = self.sa_candidate[p as usize];
-                if vc != NONE_IDX && req_out == out_port {
-                    // An input port can win at most one output because it
-                    // nominated a single (vc, out) pair.
-                    self.sa_granted[out_port as usize] = p;
-                    self.sa_port_ptr[out_port as usize] = (p + 1) % self.ports;
-                    break;
-                }
-            }
-        }
-        // Traversal.
-        for out_port in 0..self.ports {
-            let in_port = self.sa_granted[out_port as usize];
-            if in_port == NONE_IDX {
-                continue;
-            }
-            let (vc, _) = self.sa_candidate[in_port as usize];
-            if vc == NONE_IDX {
-                self.poison(format!(
-                    "switch grant without a nomination on router {} in-port {in_port}",
-                    self.id
-                ));
-                continue;
-            }
-            self.sa_vc_ptr[in_port as usize] = (vc + 1) % self.total_vcs;
+            let rotated = requests[out_port as usize].rotate_right(start);
+            let in_port = (rotated.trailing_zeros() + start) & (MAX_PORTS - 1);
+            let next = in_port + 1;
+            self.sa_port_ptr[out_port as usize] = if next == self.ports { 0 } else { next };
+            let vc = nominee[in_port as usize];
+            self.sa_vc_ptr[in_port as usize] = if vc + 1 == self.total_vcs { 0 } else { vc + 1 };
             let in_idx = self.ivc_index(in_port, vc);
             let (out_vc, next_class) = (self.vc_out_vc[in_idx], self.vc_next_class[in_idx]);
-            let Some(mut flit) = self.vc_buf[in_idx].pop_front() else {
+            let Some(mut flit) = self.pop_flit(in_port, vc) else {
                 self.poison(format!(
                     "switch traversal from an empty VC on router {} port {in_port} vc {vc}",
                     self.id
                 ));
                 continue;
             };
-            self.buffered -= 1;
             self.stats.buffer_reads += 1;
             self.stats.sa_grants += 1;
             flit.vc = out_vc as u8;
@@ -767,7 +811,7 @@ impl Router {
             let is_local_out = out_port < self.locals;
             let out_idx = self.ivc_index(out_port, out_vc);
             if flit.kind.is_tail() {
-                self.vc_state[in_idx] = VcState::Idle;
+                self.set_state(in_port, vc, VcState::Idle);
                 self.ovc_owner[out_idx] = NONE_IDX;
             }
             if is_local_out {
@@ -801,21 +845,41 @@ impl Router {
         }
     }
 
-    /// VC allocation: input VCs in `Routed` state claim a free output VC.
+    /// VC allocation: input VCs in `Routed` state claim a free output VC,
+    /// in flat round-robin order from the `(va_port, va_vc)` pointer: that
+    /// port's VCs from `va_vc` up, the other ports in turn, then that port's
+    /// VCs below `va_vc`.
     fn vc_allocate(&mut self) {
-        let n = (self.ports * self.total_vcs) as usize;
-        let start = self.va_ptr as usize;
-        for k in 0..n {
-            let idx = (start + k) % n;
-            if self.vc_state[idx] != VcState::Routed {
-                continue;
+        let (first, upper) = (self.va_port, u64::MAX << self.va_vc);
+        self.allocate_routed(first, upper);
+        for port in (first + 1..self.ports).chain(0..first) {
+            self.allocate_routed(port, u64::MAX);
+        }
+        self.allocate_routed(first, !upper);
+        self.va_vc += 1;
+        if self.va_vc == self.total_vcs {
+            self.va_vc = 0;
+            self.va_port += 1;
+            if self.va_port == self.ports {
+                self.va_port = 0;
             }
-            let Some(&head) = self.vc_buf[idx].front() else {
+        }
+    }
+
+    /// Offers each routed VC of `port` inside `window`, ascending, a free
+    /// output VC.
+    fn allocate_routed(&mut self, port: u32, window: u64) {
+        let mut routed = self.masks[port as usize].routed & window;
+        while routed != 0 {
+            let vc = routed.trailing_zeros();
+            routed &= routed - 1;
+            let idx = self.ivc_index(port, vc);
+            let Some(head) = self.front(idx) else {
                 self.poison(format!(
                     "routed VC lost its head flit on router {} (vc index {idx})",
                     self.id
                 ));
-                self.vc_state[idx] = VcState::Idle;
+                self.set_state(port, vc, VcState::Idle);
                 continue;
             };
             debug_assert!(head.kind.is_head());
@@ -829,11 +893,10 @@ impl Router {
                 let out_idx = self.ivc_index(out_port, out_vc);
                 self.ovc_owner[out_idx] = idx as u32;
                 self.vc_out_vc[idx] = out_vc;
-                self.vc_state[idx] = VcState::Active;
+                self.set_state(port, vc, VcState::Active);
                 self.stats.vc_allocs += 1;
             }
         }
-        self.va_ptr = (self.va_ptr + 1) % n as u32;
     }
 
     /// Chooses a free output VC in the band permitted by vnet, torus
@@ -865,15 +928,17 @@ impl Router {
         })
     }
 
-    /// Route computation for head flits at the front of idle VCs.
+    /// Route computation for head flits at the front of idle VCs, ports
+    /// and VCs ascending.
     fn route_compute(&mut self, topo: &TopologyMap) {
         for port in 0..self.ports {
-            for vc in 0..self.total_vcs {
+            let m = self.masks[port as usize];
+            let mut waiting = m.non_empty & !(m.routed | m.active);
+            while waiting != 0 {
+                let vc = waiting.trailing_zeros();
+                waiting &= waiting - 1;
                 let idx = self.ivc_index(port, vc);
-                if self.vc_state[idx] != VcState::Idle {
-                    continue;
-                }
-                let Some(&head) = self.vc_buf[idx].front() else {
+                let Some(head) = self.front(idx) else {
                     continue;
                 };
                 if !head.kind.is_head() {
@@ -882,8 +947,7 @@ impl Router {
                         // flaky link upstream: discard it. Its buffer-slot
                         // credit is not returned — lossy channels degrade
                         // permanently, same as the drop in `phase_send`.
-                        self.vc_buf[idx].pop_front();
-                        self.buffered -= 1;
+                        self.pop_flit(port, vc);
                         self.fault_events.flits_dropped_flaky += 1;
                     } else {
                         self.poison(format!(
@@ -920,7 +984,7 @@ impl Router {
                 };
                 self.vc_out_port[idx] = decision.out_port;
                 self.vc_next_class[idx] = next_class;
-                self.vc_state[idx] = VcState::Routed;
+                self.set_state(port, vc, VcState::Routed);
             }
         }
     }
@@ -1091,6 +1155,13 @@ mod tests {
         let (mut r, _, _) = mini_router();
         assert!(r.audit().is_ok());
         assert!(r.take_invariant().is_none());
+        let mut drifted = r.clone();
+        drifted.debug_corrupt_masks();
+        let err = drifted.audit().unwrap_err();
+        assert!(
+            err.contains("masks disagree"),
+            "unexpected audit message: {err}"
+        );
         r.debug_corrupt_credits();
         let err = r.audit().unwrap_err();
         assert!(err.contains("credits"), "unexpected audit message: {err}");

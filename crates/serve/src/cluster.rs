@@ -1758,10 +1758,14 @@ mod tests {
     }
 
     fn relay_over(addrs: &[SocketAddr]) -> RelayHandle {
+        relay_probing(addrs, Duration::from_millis(50))
+    }
+
+    fn relay_probing(addrs: &[SocketAddr], probe_interval: Duration) -> RelayHandle {
         let config = RelayConfig {
             backends: addrs.iter().map(|a| a.to_string()).collect(),
             health: HealthPolicy {
-                probe_interval: Duration::from_millis(50),
+                probe_interval,
                 probe_timeout: Duration::from_millis(250),
                 fail_threshold: 2,
                 recover_threshold: 1,
@@ -2181,12 +2185,14 @@ mod tests {
 
     #[test]
     fn in_flight_jobs_survive_a_backend_death() {
-        // Slow enough to still be running when the backend dies.
+        // Probing every 25 ms, the relay marks a dead node Down within
+        // about 50 ms; the job takes a release build about 700 ms, so it
+        // is still in flight when that happens.
         let slow_spec =
-            "target=4x4 app=water mode=fixed:10 instructions=3000 budget=10000000";
+            "target=4x4 app=water mode=fixed:10 instructions=400000 budget=1000000000";
         let b0 = backend(2);
         let b1 = backend(2);
-        let relay = relay_over(&[b0.addr(), b1.addr()]);
+        let relay = relay_probing(&[b0.addr(), b1.addr()], Duration::from_millis(25));
         let mut backends = [Some(b0), Some(b1)];
         let mut client = WireClient::connect(relay.addr()).unwrap();
         let submit = client.submit(slow_spec, None, None).unwrap();

@@ -111,9 +111,11 @@ mod service_tests {
     /// Long enough to still be running while the test submits more work,
     /// but bounded, and cancellable at the 512-cycle watchdog poll.
     const SLOW: &str = "target=2x2 app=water mode=fixed:10 instructions=60000 budget=30000000";
-    /// Comfortably outlives a short deadline even on a loaded CI box.
+    /// Takes a release build about 7 s, some 50x the 150 ms deadline the
+    /// cancellation test gives it, so the deadline always lands mid-run;
+    /// no test runs it to completion.
     const VERY_SLOW: &str =
-        "target=2x2 app=water mode=fixed:10 instructions=200000 budget=100000000";
+        "target=2x2 app=water mode=fixed:10 instructions=20000000 budget=100000000000";
 
     fn service_with_ring(
         config: ServeConfig,

@@ -197,6 +197,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "cycle subtraction went negative")]
     fn cycle_sub_underflow_panics_in_debug() {
         let _ = Cycle(1) - Cycle(2);

@@ -562,10 +562,11 @@ mod service_schedule_transparency {
         use reciprocal_abstraction::obs::ObsSink as Sink;
         use std::time::Duration;
 
-        // Long enough that a 100 ms deadline reliably lands mid-run (the
-        // sibling serve test cancels this same workload at 150 ms).
+        // A release build needs about 330 ms for this job, 15x its 20 ms
+        // deadline, so the deadline always lands mid-run (a debug build
+        // runs it twice, for the reference and the rerun, in about 8 s).
         const SLOW: &str =
-            "target=2x2 app=water mode=fixed:10 instructions=200000 budget=100000000";
+            "target=2x2 app=water mode=fixed:10 instructions=800000 budget=1000000000";
         let spec: JobSpec = SLOW.parse().expect("canonical spec");
         let reference = fingerprint(&spec.to_run_spec().run().expect("serial run"));
 
@@ -579,7 +580,7 @@ mod service_schedule_transparency {
         .expect("service starts");
 
         let doomed = service
-            .submit(spec.clone(), Priority::Normal, Some(Duration::from_millis(100)))
+            .submit(spec.clone(), Priority::Normal, Some(Duration::from_millis(20)))
             .expect("admitted");
         match service.wait(doomed.ticket, None).expect("job settles") {
             JobOutcome::DeadlineExceeded => {}

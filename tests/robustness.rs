@@ -399,6 +399,31 @@ fn forced_invariant_violation_is_an_error_not_an_abort() {
     );
 }
 
+/// A router whose occupancy masks drift from its VC state is caught by the
+/// audit at once, and running on surfaces it as an error, never a panic.
+#[test]
+fn corrupted_occupancy_mask_is_caught_by_the_audit() {
+    use reciprocal_abstraction::sim::{MessageClass, NetMessage, NodeId};
+    let mut net = NocNetwork::new(NocConfig::new(4, 4)).unwrap();
+    for i in 0..10 {
+        net.inject(
+            NetMessage::new(i, NodeId(0), NodeId(15), MessageClass::Response, 72),
+            Cycle(0),
+        );
+    }
+    net.tick(Cycle(5));
+    net.audit().unwrap();
+    net.debug_router_mut(1).debug_corrupt_masks();
+    match net.audit() {
+        Err(SimError::Invariant(msg)) => assert!(msg.contains("masks"), "{msg}"),
+        other => panic!("the audit must catch a corrupted mask: {other:?}"),
+    }
+    let run = net.run_until_drained(10_000);
+    let audit = net.audit();
+    let err = run.err().or(audit.err()).expect("corruption must surface");
+    assert!(matches!(err, SimError::Invariant(_)), "got {err:?}");
+}
+
 /// Acceptance: a watchdog trip mid-run leaves the coupler usable — the
 /// degraded coupler keeps serving the full system and retires everything.
 #[test]
