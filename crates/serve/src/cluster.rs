@@ -16,11 +16,15 @@
 //!   end — the relay decodes once at its edge, routes the enum, and
 //!   re-encodes per client codec. Forwards to backends ride the binary
 //!   codec; the client side keeps whatever it sniffed;
-//! * the batch verbs fan out as batches: `submit_batch` partitions its
-//!   items by ring owner and forwards one sub-batch per owner,
-//!   `status_batch`/`result_batch` group tickets by owning backend —
-//!   one round-trip per backend instead of one per item, with a
-//!   per-item retrying fallback when a sub-batch forward dies;
+//! * every relayed verb is a batch, and a single verb is a batch of one:
+//!   `submit`/`submit_batch` run through one submit core and
+//!   `status`/`result`/`cancel` (and their batch forms) through one
+//!   ticket core. Each core works in rounds: answer what the edge can,
+//!   group the rest by live owner, forward one request per owner in the
+//!   client's own shape (a batch becomes one sub-batch per owner), and
+//!   carry only the items whose forward failed into the next round.
+//!   A `result_batch` wait is one deadline for the whole call, across
+//!   every owner and every round;
 //! * a probe loop drives one [`HealthMachine`] per backend
 //!   (Up/Suspect/Down, consecutive-failure thresholds, probe RTT),
 //!   emitting `node_up` / `node_down` obs events on transitions;
@@ -35,9 +39,10 @@
 //!   the edge*: the relay runs the analytic hop model inline and
 //!   returns a `fidelity=hop` result with disposition `degraded`
 //!   instead of an error — the cluster's outermost brownout rung;
-//! * every forward carries a deadline (connect + read timeouts) and a
-//!   bounded, seeded-jitter retry budget — the same exponential policy
-//!   the scheduler uses for transient job faults;
+//! * every forward carries a deadline (connect + read timeouts), and a
+//!   call gets `retry_budget` rounds after its first, each after one
+//!   seeded-jitter backoff — the same exponential policy the scheduler
+//!   uses for transient job faults;
 //! * a small LRU at the relay edge replicates hot memo entries, so
 //!   duplicate-heavy traffic is answered without a backend hop even
 //!   while a shard is failing over.
@@ -53,11 +58,13 @@
 //! run. The client observes exactly one terminal result per submitted
 //! job, bit-identical to what the dead node would have produced.
 
-use std::collections::HashMap;
+#![deny(clippy::too_many_lines)]
+
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -139,6 +146,12 @@ pub struct RelayStats {
     /// Shedable jobs answered at `fidelity=hop` by the relay edge
     /// because every owner was saturated or breaker-open.
     pub edge_brownouts: u64,
+}
+
+/// Locks relay state, recovering from poisoning: a panicking holder
+/// never leaves a relay map half-updated, so the data stays usable.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// xorshift64* — the same tiny deterministic generator `ra-loadgen`
@@ -334,33 +347,22 @@ impl Relay {
 
     /// Relay-level counter snapshot.
     pub fn stats(&self) -> RelayStats {
-        *self.stats.lock().unwrap_or_else(|e| e.into_inner())
+        *lock(&self.stats)
     }
 
     /// Health state of one backend slot.
     pub fn node_state(&self, node: usize) -> NodeState {
-        self.nodes[node]
-            .health
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .state()
+        lock(&self.nodes[node].health).state()
     }
 
     /// Circuit-breaker state of one backend slot.
     pub fn breaker_state(&self, node: usize) -> BreakerState {
-        self.nodes[node]
-            .breaker
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .state()
+        lock(&self.nodes[node].breaker).state()
     }
 
     /// Total breaker trips across every backend slot.
     pub fn breaker_trips(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.breaker.lock().unwrap_or_else(|e| e.into_inner()).trips())
-            .sum()
+        self.nodes.iter().map(|n| lock(&n.breaker).trips()).sum()
     }
 
     /// Nanoseconds since relay construction (breaker clock).
@@ -368,91 +370,63 @@ impl Relay {
         self.started.elapsed().as_nanos() as u64
     }
 
-    fn emit_breaker_transition(&self, node: usize, from: BreakerState, to: BreakerState) {
-        self.obs.emit(|| Event::BreakerTransition {
-            node: node as u64,
-            from: from.name().into(),
-            to: to.name().into(),
-        });
-        // Breaker flips gate routing; a live tail must see them promptly.
-        let _ = self.obs.flush();
+    /// Runs `f` on `node`'s breaker at the breaker clock, emitting a
+    /// `breaker_transition` event when that flips its state.
+    fn on_breaker<T>(&self, node: usize, f: impl FnOnce(&mut CircuitBreaker, u64) -> T) -> T {
+        let now = self.now_ns();
+        let (out, from, to) = {
+            let mut breaker = lock(&self.nodes[node].breaker);
+            let from = breaker.state();
+            let out = f(&mut breaker, now);
+            (out, from, breaker.state())
+        };
+        if from != to {
+            self.obs.emit(|| Event::BreakerTransition {
+                node: node as u64,
+                from: from.name().into(),
+                to: to.name().into(),
+            });
+            // Breaker flips gate routing; a live tail must see them promptly.
+            let _ = self.obs.flush();
+        }
+        out
     }
 
     /// Asks `node`'s breaker whether a forward may go out now; an open
     /// breaker whose cooldown elapsed flips to half-open here.
     fn breaker_admits(&self, node: usize) -> bool {
-        let now = self.now_ns();
-        let (allowed, from, to) = {
-            let mut breaker = self.nodes[node]
-                .breaker
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let from = breaker.state();
-            let allowed = breaker.allow(now);
-            (allowed, from, breaker.state())
-        };
-        if from != to {
-            self.emit_breaker_transition(node, from, to);
-        }
-        allowed
+        self.on_breaker(node, |breaker, now| breaker.allow(now))
     }
 
     /// Feeds one forward outcome into `node`'s breaker.
     fn breaker_report(&self, node: usize, outcome: Result<Duration, ()>) {
-        let now = self.now_ns();
-        let (from, to) = {
-            let mut breaker = self.nodes[node]
-                .breaker
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let from = breaker.state();
-            match outcome {
-                Ok(rtt) => breaker.on_success(now, rtt),
-                Err(()) => breaker.on_failure(now),
-            }
-            (from, breaker.state())
-        };
-        if from != to {
-            self.emit_breaker_transition(node, from, to);
-        }
-    }
-
-    /// Whether the routing mask may steer traffic at `node`'s breaker
-    /// (non-consuming; the forward itself still asks `allow`).
-    fn breaker_would_route(&self, node: usize) -> bool {
-        self.nodes[node]
-            .breaker
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .would_allow(self.now_ns())
+        self.on_breaker(node, |breaker, now| match outcome {
+            Ok(rtt) => breaker.on_success(now, rtt),
+            Err(()) => breaker.on_failure(now),
+        });
     }
 
     fn bump<F: FnOnce(&mut RelayStats)>(&self, f: F) {
-        f(&mut self.stats.lock().unwrap_or_else(|e| e.into_inner()));
+        f(&mut lock(&self.stats));
     }
 
     /// Per-node liveness mask for the ring.
     fn alive_mask(&self) -> Vec<bool> {
         self.nodes
             .iter()
-            .map(|n| {
-                n.health
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .state()
-                    .routes()
-            })
+            .map(|n| lock(&n.health).state().routes())
             .collect()
     }
 
-    /// Liveness mask further restricted to breakers willing to route:
-    /// the submit path steers around probe-alive nodes whose request
-    /// stream is tripping.
+    /// Liveness mask further restricted to breakers willing to route
+    /// (non-consuming: the forward itself still asks `allow`). Both
+    /// cores steer around probe-alive nodes whose requests are tripping.
     fn routable_mask(&self) -> Vec<bool> {
+        let now = self.now_ns();
         self.alive_mask()
             .into_iter()
             .enumerate()
-            .map(|(node, alive)| alive && self.breaker_would_route(node))
+            .map(|(node, alive)| alive && lock(&self.nodes[node].breaker).would_allow(now))
             .collect()
     }
 
@@ -465,30 +439,64 @@ impl Relay {
         remote_ticket: u64,
     ) -> u64 {
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        self.tickets
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(
-                ticket,
-                TicketEntry {
-                    key,
-                    item,
-                    backend,
-                    remote_ticket,
-                    generation: 0,
-                },
-            );
+        let entry = TicketEntry {
+            key,
+            item,
+            backend,
+            remote_ticket,
+            generation: 0,
+        };
+        lock(&self.tickets).insert(ticket, entry);
         ticket
+    }
+
+    /// A snapshot of one relay ticket's entry.
+    fn ticket(&self, ticket: u64) -> Option<TicketEntry> {
+        lock(&self.tickets).get(&ticket).cloned()
+    }
+
+    /// Drops a spent relay ticket.
+    fn forget(&self, ticket: u64) {
+        lock(&self.tickets).remove(&ticket);
+    }
+
+    /// Moves `ticket` to `remote_ticket` on `target` unless another
+    /// thread re-homed it since `seen` was read — the generation race
+    /// check between the prober's failover and client-path re-drives —
+    /// and accounts the reroute.
+    fn move_ticket(
+        &self,
+        ticket: u64,
+        seen: &TicketEntry,
+        target: usize,
+        remote_ticket: u64,
+    ) -> Option<TicketEntry> {
+        let moved = {
+            let mut tickets = lock(&self.tickets);
+            let live = tickets
+                .get_mut(&ticket)
+                .filter(|live| live.generation == seen.generation)?;
+            live.backend = Some(target);
+            live.remote_ticket = remote_ticket;
+            live.generation += 1;
+            live.clone()
+        };
+        self.bump(|s| s.reroutes += 1);
+        let job = seen.key.0;
+        let from = seen.backend.map_or(u64::MAX, |node| node as u64);
+        self.obs.emit(|| Event::Reroute {
+            job,
+            from,
+            to: target as u64,
+        });
+        Some(moved)
     }
 
     /// Feeds one probe (or forward) outcome into a node's machine and
     /// reacts to transitions: obs events, and failover on `WentDown`.
     fn record_probe(&self, node: usize, outcome: Result<Duration, ()>) {
         let transition = {
-            let mut machine = self.nodes[node]
-                .health
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let mut machine = lock(&self.nodes[node].health);
             match outcome {
                 Ok(rtt) => machine.on_success(rtt),
                 Err(()) => machine.on_failure(),
@@ -496,11 +504,7 @@ impl Relay {
         };
         match transition {
             Some(Transition::CameUp) => {
-                let rtt_ns = self.nodes[node]
-                    .health
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .last_rtt_ns();
+                let rtt_ns = lock(&self.nodes[node].health).last_rtt_ns();
                 self.obs.emit(|| Event::NodeUp {
                     node: node as u64,
                     rtt_ns,
@@ -510,13 +514,7 @@ impl Relay {
                 let _ = self.obs.flush();
             }
             Some(Transition::WentDown) => {
-                let failures = u64::from(
-                    self.nodes[node]
-                        .health
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .failures(),
-                );
+                let failures = u64::from(lock(&self.nodes[node].health).failures());
                 self.obs.emit(|| Event::NodeDown {
                     node: node as u64,
                     failures,
@@ -529,102 +527,28 @@ impl Relay {
     }
 
     /// Re-routes every in-flight job owned by `dead` to the ring's next
-    /// live owner. Grouped into one batched re-submit per survivor;
-    /// exactly-once because the survivor's memo store and coalescing
-    /// dedup any racing client-path retry by `JobKey`.
+    /// routable owner, through the same grouped re-submit the ticket
+    /// core uses. Orphans left unmoved stay with the client path, which
+    /// re-drives them on its next call.
     fn fail_over(&self, dead: usize) {
-        let alive = self.alive_mask();
-        let moved: Vec<(u64, TicketEntry)> = {
-            let tickets = self.tickets.lock().unwrap_or_else(|e| e.into_inner());
+        let orphans: Vec<(u64, TicketEntry)> = {
+            let tickets = lock(&self.tickets);
             tickets
                 .iter()
                 .filter(|(_, e)| e.backend == Some(dead))
                 .map(|(&t, e)| (t, e.clone()))
                 .collect()
         };
-        // Partition the orphans by their new ring owner so each
-        // survivor gets one batched re-submit instead of N round-trips.
-        let mut by_target: HashMap<usize, Vec<&(u64, TicketEntry)>> = HashMap::new();
-        for pair in &moved {
-            if let Some(target) = self.ring.route_live(pair.1.key, &alive) {
-                by_target.entry(target).or_default().push(pair);
-            }
-            // Nothing alive: the client path will surface it.
-        }
-        let mut handed_off = 0u64;
-        let mut targets: Vec<usize> = by_target.keys().copied().collect();
-        targets.sort_unstable();
-        for target in targets {
-            let group = &by_target[&target];
-            let items: Vec<SubmitItem> = group
-                .iter()
-                .map(|(_, entry)| entry.item.clone())
-                .collect();
-            let Ok(responses) = self.resubmit_batch(target, items) else {
-                // Survivor unreachable too; its own probes will demote
-                // it. The client path keeps retrying meanwhile.
-                continue;
-            };
-            for ((ticket, entry), response) in group.iter().zip(responses) {
-                let Response::Submit(ok) = response else {
-                    continue; // refused (queue full); the client retries
-                };
-                let mut tickets = self.tickets.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(live) = tickets.get_mut(ticket) {
-                    // Only move it if a client thread has not already
-                    // re-driven it elsewhere.
-                    if live.backend == Some(dead) {
-                        live.backend = Some(target);
-                        live.remote_ticket = ok.ticket;
-                        live.generation += 1;
-                        handed_off += 1;
-                        let job = entry.key.0;
-                        self.obs.emit(|| Event::Reroute {
-                            job,
-                            from: dead as u64,
-                            to: target as u64,
-                        });
-                    }
-                }
-            }
-        }
-        self.bump(|s| s.reroutes += handed_off);
+        let mut pool = BackendPool::new(self);
+        let handed_off = rehome(self, &mut pool, &orphans, &self.routable_mask())
+            .iter()
+            .filter(|home| matches!(home, Rehomed::Moved(..)))
+            .count() as u64;
         self.obs.emit(|| Event::Failover {
             node: dead as u64,
             inflight: handed_off,
         });
         let _ = self.obs.flush();
-    }
-
-    /// Submits an entry's spec to `target` over a fresh short-lived
-    /// connection, returning the backend's ticket.
-    fn resubmit(&self, target: usize, entry: &TicketEntry) -> io::Result<u64> {
-        let items = vec![entry.item.clone()];
-        match self.resubmit_batch(target, items)?.pop() {
-            Some(Response::Submit(ok)) => Ok(ok.ticket),
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "resubmit response carried no ticket",
-            )),
-        }
-    }
-
-    /// One batched re-submit to `target` over a fresh short-lived
-    /// binary connection; one response per item, in order.
-    fn resubmit_batch(
-        &self,
-        target: usize,
-        items: Vec<SubmitItem>,
-    ) -> io::Result<Vec<Response>> {
-        let mut client = WireClient::connect_timeout(
-            &self.nodes[target].addr,
-            self.config.forward_deadline,
-        )?
-        .with_binary(true);
-        client.set_read_timeout(Some(self.config.forward_deadline))?;
-        let responses = client.submit_batch(items)?;
-        self.bump(|s| s.forwards += 1);
-        Ok(responses)
     }
 
     /// One probe round over every backend.
@@ -703,36 +627,25 @@ impl BackendPool {
     }
 }
 
-/// The local refusal a forward returns when `node`'s breaker is open.
-/// No socket was touched, so callers must not feed it to the health
-/// machine (see [`is_breaker_open`]).
-fn breaker_open_error() -> io::Error {
-    io::Error::new(io::ErrorKind::WouldBlock, "circuit breaker open")
-}
-
-/// Whether a forward error is the breaker's local refusal rather than
-/// a transport failure.
-fn is_breaker_open(err: &io::Error) -> bool {
-    err.kind() == io::ErrorKind::WouldBlock
-}
-
 /// Forwards one typed request to `node`, with the read deadline
 /// stretched to `read_deadline` (long-poll `result` calls must outlive
-/// the job they wait for). Invalidates the pooled connection on error.
+/// the job they wait for). `None` means no answer: the breaker refused
+/// locally, or the transport failed.
 ///
 /// Every forward first asks the node's circuit breaker and reports its
 /// outcome back with the measured round-trip, so the breaker sees the
-/// real request stream (slow successes included) — an open breaker
-/// refuses locally with [`breaker_open_error`].
+/// real request stream (slow successes included). A transport failure
+/// also counts as a failed probe of the node's health machine; a local
+/// breaker refusal touched no socket and feeds neither.
 fn forward(
     relay: &Relay,
     pool: &mut BackendPool,
     node: usize,
     request: &Request,
     read_deadline: Duration,
-) -> io::Result<Response> {
+) -> Option<Response> {
     if !relay.breaker_admits(node) {
-        return Err(breaker_open_error());
+        return None;
     }
     let started = Instant::now();
     let outcome = (|| {
@@ -755,27 +668,79 @@ fn forward(
             };
             relay.breaker_report(node, Ok(rtt));
             relay.bump(|s| s.forwards += 1);
-            Ok(response)
+            Some(response)
         }
-        Err(err) => {
+        Err(_) => {
             relay.breaker_report(node, Err(()));
             // A desynchronized connection (timed-out long poll) cannot
             // be reused: a stale response would answer the wrong call.
             pool.invalidate(node);
-            Err(err)
+            relay.record_probe(node, Err(()));
+            None
         }
     }
 }
 
-/// How long a `result` forward may block: the client's requested wait
-/// plus one forward deadline of slack for transport. An unbounded
-/// client wait is capped — the relay never parks a thread forever on
-/// one backend read.
-fn result_read_deadline(relay: &Relay, timeout_ms: Option<u64>) -> (u64, Duration) {
-    let wait_ms = timeout_ms.unwrap_or(600_000);
-    let deadline = Duration::from_millis(wait_ms) + relay.config.forward_deadline;
-    (wait_ms, deadline)
+/// Forwards one owner's share of a call and splits the reply into one
+/// answer per item: a single verb's reply is its answer, a sub-batch's
+/// is its `batch`. `None` when the forward failed or the reply has the
+/// wrong shape.
+fn forward_items(
+    relay: &Relay,
+    pool: &mut BackendPool,
+    node: usize,
+    request: &Request,
+    items: usize,
+    read_deadline: Duration,
+) -> Option<Vec<Response>> {
+    let batched = matches!(
+        request,
+        Request::SubmitBatch(_) | Request::StatusBatch { .. } | Request::ResultBatch { .. }
+    );
+    match forward(relay, pool, node, request, read_deadline)? {
+        Response::Batch(answers) => (batched && answers.len() == items).then_some(answers),
+        answer => (!batched).then(|| vec![answer]),
+    }
 }
+
+/// Paces a core's rounds: the first runs at once, and each of the
+/// `retry_budget` rounds after it first waits out one jittered
+/// exponential backoff, counted as a retry.
+struct Rounds<'a> {
+    relay: &'a Relay,
+    jitter: Jitter,
+    /// Rounds begun so far.
+    begun: u32,
+}
+
+impl<'a> Rounds<'a> {
+    fn new(relay: &'a Relay, salt: u64) -> Rounds<'a> {
+        Rounds {
+            relay,
+            jitter: Jitter::new(relay.config.seed ^ salt),
+            begun: 0,
+        }
+    }
+
+    /// Starts the next round; `false` once the retry budget is spent.
+    fn next_round(&mut self) -> bool {
+        if self.begun > self.relay.config.retry_budget {
+            return false;
+        }
+        if self.begun > 0 {
+            self.relay.bump(|s| s.retries += 1);
+            let base = backoff_delay(self.relay.config.retry_backoff, self.begun);
+            let extra = self.jitter.below(base.as_millis().max(1) as u64);
+            std::thread::sleep(base + Duration::from_millis(extra));
+        }
+        self.begun += 1;
+        true
+    }
+}
+
+/// The longest a relayed `result` waits when the client set no timeout:
+/// the relay never parks a thread forever on one backend read.
+const MAX_RESULT_WAIT_MS: u64 = 600_000;
 
 fn no_backend(verb: &str) -> Response {
     Response::Error(
@@ -801,47 +766,86 @@ enum TicketAction {
     Cancel,
 }
 
+impl TicketAction {
+    fn verb(&self, batch: bool) -> &'static str {
+        match (self, batch) {
+            (TicketAction::Status, false) => "status",
+            (TicketAction::Status, true) => "status_batch",
+            (TicketAction::Result { .. }, false) => "result",
+            (TicketAction::Result { .. }, true) => "result_batch",
+            (TicketAction::Cancel, _) => "cancel",
+        }
+    }
+
+    /// One owner's request in the client's shape, and its read deadline.
+    /// A `result` waits for what is `left` of the call's deadline, in
+    /// whole milliseconds rounded up, with one forward deadline of slack
+    /// for transport. A single verb carries exactly one ticket; there is
+    /// no `cancel_batch`, so a cancel always goes per ticket.
+    fn request(
+        &self,
+        remote: Vec<u64>,
+        batch: bool,
+        left: Duration,
+        forward_deadline: Duration,
+    ) -> (Request, Duration) {
+        let timeout_ms = Some(left.as_nanos().div_ceil(1_000_000) as u64);
+        let request = match (self, batch) {
+            (TicketAction::Status, false) => Request::Status { ticket: remote[0] },
+            (TicketAction::Status, true) => Request::StatusBatch { tickets: remote },
+            (TicketAction::Result { .. }, false) => Request::Result {
+                ticket: remote[0],
+                timeout_ms,
+            },
+            (TicketAction::Result { .. }, true) => Request::ResultBatch {
+                tickets: remote,
+                timeout_ms,
+            },
+            (TicketAction::Cancel, _) => Request::Cancel { ticket: remote[0] },
+        };
+        match self {
+            TicketAction::Result { .. } => (request, left + forward_deadline),
+            _ => (request, forward_deadline),
+        }
+    }
+}
+
 /// Dispatches one typed relay request — the relay's counterpart of
 /// [`crate::wire::dispatch`]. Pure with respect to listener I/O (the
 /// pool does backend I/O), so tests drive it without sockets on the
-/// front side.
+/// front side. A single verb is a batch of one through the same core as
+/// its batch form.
 pub fn handle_relay_request(
     relay: &Relay,
     pool: &mut BackendPool,
     request: &Request,
 ) -> Response {
     match request {
-        Request::Submit(item) => relay_submit(relay, pool, item, "submit"),
-        Request::SubmitBatch(items) => relay_submit_batch(relay, pool, items),
+        Request::Submit(item) => relay_submits(relay, pool, std::slice::from_ref(item), false),
+        Request::SubmitBatch(items) => relay_submits(relay, pool, items, true),
         Request::Status { ticket } => {
-            relay_forward_ticket(relay, pool, *ticket, &TicketAction::Status, "status")
+            relay_tickets(relay, pool, &[*ticket], &TicketAction::Status, false)
         }
         Request::StatusBatch { tickets } => {
-            relay_ticket_batch(relay, pool, tickets, &TicketAction::Status, "status_batch")
+            relay_tickets(relay, pool, tickets, &TicketAction::Status, true)
         }
-        Request::Result { ticket, timeout_ms } => relay_forward_ticket(
-            relay,
-            pool,
-            *ticket,
-            &TicketAction::Result {
+        Request::Result { ticket, timeout_ms } => {
+            let action = TicketAction::Result {
                 timeout_ms: *timeout_ms,
-            },
-            "result",
-        ),
+            };
+            relay_tickets(relay, pool, &[*ticket], &action, false)
+        }
         Request::ResultBatch {
             tickets,
             timeout_ms,
-        } => relay_ticket_batch(
-            relay,
-            pool,
-            tickets,
-            &TicketAction::Result {
+        } => {
+            let action = TicketAction::Result {
                 timeout_ms: *timeout_ms,
-            },
-            "result_batch",
-        ),
+            };
+            relay_tickets(relay, pool, tickets, &action, true)
+        }
         Request::Cancel { ticket } => {
-            relay_forward_ticket(relay, pool, *ticket, &TicketAction::Cancel, "cancel")
+            relay_tickets(relay, pool, &[*ticket], &TicketAction::Cancel, false)
         }
         Request::Stats => {
             // Mirror the backend: a stats poll is a sync point for the
@@ -865,14 +869,27 @@ pub fn handle_relay_request(
     }
 }
 
+/// The client's reply from its items' answers: a batch answers item by
+/// item, in order; a single verb with its one item's answer.
+fn reply(answers: Vec<Option<Response>>, batch: bool) -> Response {
+    let mut answers: Vec<Response> = answers
+        .into_iter()
+        .map(|answer| answer.expect("every item answered"))
+        .collect();
+    if batch {
+        Response::Batch(answers)
+    } else {
+        answers.pop().expect("a single verb has one item")
+    }
+}
+
 /// The edge's half of a submit: canonicalize, count, and answer from
-/// the edge LRU when possible — shared by `submit` and the first pass
-/// of `submit_batch`.
+/// the edge LRU when possible.
 enum Prepared {
     /// Decided without a backend hop (bad spec or edge hit).
     Answered(Response),
-    /// Needs a ring hop: the canonical spec and its routing key.
-    Route { key: JobKey, canonical: String },
+    /// Needs a ring hop: the routing key and the canonicalized item.
+    Route(JobKey, SubmitItem),
 }
 
 fn prepare_submit(relay: &Relay, item: &SubmitItem, verb: &str) -> Prepared {
@@ -887,33 +904,34 @@ fn prepare_submit(relay: &Relay, item: &SubmitItem, verb: &str) -> Prepared {
         }
     };
     let key = spec.job_hash();
-    let canonical = spec.canonical();
+    let item = SubmitItem {
+        spec: spec.canonical(),
+        ..item.clone()
+    };
     relay.bump(|s| s.submitted += 1);
 
     // Edge hit: answer without a backend hop, even mid-failover. A
     // degraded (brownout) entry only answers submitters that accept
     // degraded results themselves.
-    let edge_hit = {
-        let edge = relay.edge.lock().unwrap_or_else(|e| e.into_inner());
-        edge.hit(key, item_accepts_hop(item))
-    };
-    if edge_hit {
-        relay.bump(|s| s.edge_hits += 1);
-        let canonical_item = SubmitItem {
-            spec: canonical,
-            ..item.clone()
-        };
-        let ticket = relay.register_ticket(key, canonical_item, None, 0);
-        return Prepared::Answered(Response::Submit(SubmitOk {
-            ticket,
-            job: key.to_string(),
-            disposition: "cached".into(),
-            depth: 0,
-            node: None,
-            edge: true,
-        }));
+    let edge_hit = lock(&relay.edge).hit(key, item_accepts_hop(&item));
+    if !edge_hit {
+        return Prepared::Route(key, item);
     }
-    Prepared::Route { key, canonical }
+    relay.bump(|s| s.edge_hits += 1);
+    let ticket = relay.register_ticket(key, item, None, 0);
+    Prepared::Answered(edge_submit(ticket, key, "cached"))
+}
+
+/// A submit answered at the relay edge, with no backend behind it.
+fn edge_submit(ticket: u64, key: JobKey, disposition: &str) -> Response {
+    Response::Submit(SubmitOk {
+        ticket,
+        job: key.to_string(),
+        disposition: disposition.into(),
+        depth: 0,
+        node: None,
+        edge: true,
+    })
 }
 
 /// Whether a submit item's degradation contract admits a hop-fidelity
@@ -923,83 +941,87 @@ fn item_accepts_hop(item: &SubmitItem) -> bool {
         && !matches!(item.min_fidelity.as_deref(), Some(floor) if floor != Fidelity::Hop.name())
 }
 
-fn relay_submit(
+/// The submit core behind `submit` (a batch of one) and `submit_batch`.
+/// Bad specs and edge hits are answered at the edge. The rest go round
+/// by round to their ring owners under the routable mask, one forward
+/// per owner in the client's shape, and only the items whose forward
+/// failed are carried into the next round. An item left with no
+/// routable owner, refused by a saturated owner, or out of rounds takes
+/// the edge brownout when it opted in, and an error otherwise.
+fn relay_submits(
     relay: &Relay,
     pool: &mut BackendPool,
-    item: &SubmitItem,
-    verb: &str,
+    items: &[SubmitItem],
+    batch: bool,
 ) -> Response {
-    match prepare_submit(relay, item, verb) {
-        Prepared::Answered(response) => response,
-        Prepared::Route { key, canonical } => {
-            submit_via_ring(relay, pool, key, &canonical, item, verb)
+    let verb = if batch { "submit_batch" } else { "submit" };
+    if batch {
+        relay.obs.emit(|| Event::WireBatch {
+            verb: verb.into(),
+            items: items.len() as u64,
+        });
+    }
+    let shed = |key, item: &SubmitItem| {
+        edge_brownout(relay, key, item).unwrap_or_else(|| no_backend(verb))
+    };
+    let mut answers: Vec<Option<Response>> = vec![None; items.len()];
+    let mut pending: Vec<(usize, JobKey, SubmitItem)> = Vec::new();
+    for (index, item) in items.iter().enumerate() {
+        match prepare_submit(relay, item, verb) {
+            Prepared::Answered(answer) => answers[index] = Some(answer),
+            Prepared::Route(key, item) => pending.push((index, key, item)),
         }
     }
-}
-
-/// Forwards one submit to the ring owner, with bounded jittered retries
-/// walking past nodes that fail mid-forward or whose breaker refuses.
-/// When every owner is down, saturated, or breaker-open, a shedable
-/// item is answered at the edge via [`edge_brownout`] instead of
-/// failing with `no_backend`.
-fn submit_via_ring(
-    relay: &Relay,
-    pool: &mut BackendPool,
-    key: JobKey,
-    canonical: &str,
-    item: &SubmitItem,
-    verb: &str,
-) -> Response {
-    let canonical_item = SubmitItem {
-        spec: canonical.to_owned(),
-        ..item.clone()
-    };
-    let forward_request = Request::Submit(canonical_item.clone());
-    let mut jitter = Jitter::new(relay.config.seed ^ key.0);
-    let attempts = relay.config.retry_budget.max(1);
-    for attempt in 1..=attempts {
+    let mut rounds = Rounds::new(relay, pending.first().map_or(0, |(_, key, _)| key.0));
+    while !pending.is_empty() && rounds.next_round() {
         let routable = relay.routable_mask();
-        let Some(node) = relay.ring.route_live(key, &routable) else {
-            return edge_brownout(relay, key, &canonical_item)
-                .unwrap_or_else(|| no_backend(verb));
-        };
-        match forward(
-            relay,
-            pool,
-            node,
-            &forward_request,
-            relay.config.forward_deadline,
-        ) {
-            Ok(Response::Submit(ok)) => {
-                let ticket =
-                    relay.register_ticket(key, canonical_item, Some(node), ok.ticket);
-                return Response::Submit(SubmitOk {
-                    ticket,
-                    job: key.to_string(),
-                    disposition: ok.disposition,
-                    depth: ok.depth,
-                    node: Some(node as u64),
-                    edge: false,
+        let mut by_owner: BTreeMap<usize, Vec<(usize, JobKey, SubmitItem)>> = BTreeMap::new();
+        for (index, key, item) in pending.drain(..) {
+            match relay.ring.route_live(key, &routable) {
+                Some(owner) => by_owner.entry(owner).or_default().push((index, key, item)),
+                None => answers[index] = Some(shed(key, &item)),
+            }
+        }
+        for (owner, group) in by_owner {
+            let request = if batch {
+                Request::SubmitBatch(group.iter().map(|(_, _, item)| item.clone()).collect())
+            } else {
+                Request::Submit(group[0].2.clone())
+            };
+            let deadline = relay.config.forward_deadline;
+            let Some(replies) = forward_items(relay, pool, owner, &request, group.len(), deadline)
+            else {
+                pending.extend(group);
+                continue;
+            };
+            for ((index, key, item), answer) in group.into_iter().zip(replies) {
+                answers[index] = Some(match answer {
+                    Response::Submit(ok) => {
+                        let ticket = relay.register_ticket(key, item, Some(owner), ok.ticket);
+                        Response::Submit(SubmitOk {
+                            ticket,
+                            job: key.to_string(),
+                            node: Some(owner as u64),
+                            edge: false,
+                            ..ok
+                        })
+                    }
+                    // A saturated owner refused: answer shedable work
+                    // degraded at the edge rather than bouncing it back.
+                    Response::Error(err) if err.code == ErrorCode::QueueFull => {
+                        edge_brownout(relay, key, &item).unwrap_or(Response::Error(err))
+                    }
+                    // Other refusals (bad spec, shutting down): the
+                    // client owns that policy.
+                    other => other,
                 });
             }
-            // A saturated owner refused: answer shedable work degraded
-            // at the edge rather than bouncing it back to the client.
-            Ok(Response::Error(err)) if err.code == ErrorCode::QueueFull => {
-                return edge_brownout(relay, key, &canonical_item)
-                    .unwrap_or(Response::Error(err));
-            }
-            // Other refusals (bad spec, shutting down): the client owns
-            // that policy.
-            Ok(other) => return other,
-            Err(err) => {
-                if !is_breaker_open(&err) {
-                    relay.record_probe(node, Err(()));
-                }
-                backoff_sleep(relay, &mut jitter, attempt, attempts);
-            }
         }
     }
-    edge_brownout(relay, key, &canonical_item).unwrap_or_else(|| no_backend(verb))
+    for (index, key, item) in pending {
+        answers[index] = Some(shed(key, &item));
+    }
+    reply(answers, batch)
 }
 
 /// The relay edge's own brownout rung: when no owner can take a
@@ -1028,432 +1050,211 @@ fn edge_brownout(relay: &Relay, key: JobKey, item: &SubmitItem) -> Option<Respon
         run_ns: Some(run_ns),
         body: Some(ResultBody::from_run(&result, Fidelity::Hop, HOP_ERROR_BOUND)),
     });
-    {
-        let mut edge = relay.edge.lock().unwrap_or_else(|e| e.into_inner());
-        edge.insert(key, response, true);
-    }
+    lock(&relay.edge).insert(key, response, true);
     let ticket = relay.register_ticket(key, item.clone(), None, 0);
     relay.bump(|s| s.edge_brownouts += 1);
     relay.obs.emit(|| Event::EdgeBrownout { job: key.0 });
     let _ = relay.obs.flush();
-    Some(Response::Submit(SubmitOk {
-        ticket,
-        job: key.to_string(),
-        disposition: "degraded".into(),
-        depth: 0,
-        node: None,
-        edge: true,
-    }))
+    Some(edge_submit(ticket, key, "degraded"))
 }
 
-/// `submit_batch` at the relay: answer bad specs and edge hits locally,
-/// partition the rest by ring owner, and forward one sub-batch per
-/// owner. A sub-batch that dies in transit falls back to the retrying
-/// single-submit path per item, so one slow owner cannot fail the
-/// whole batch.
-fn relay_submit_batch(
+/// A ticket the ticket core still owes an answer.
+struct Owed {
+    /// Position in the client's call.
+    index: usize,
+    ticket: u64,
+    /// The owner generation whose forward failed this ticket (transport
+    /// failure or lost ticket): the next round re-homes it unless
+    /// another thread moved it meanwhile.
+    failed_at: Option<u64>,
+}
+
+/// What the edge can answer for an edge ticket (no backend behind it):
+/// its status, its cancel, and its result while the LRU still holds
+/// it. An evicted result is re-driven on the ring instead.
+fn edge_answer(
     relay: &Relay,
-    pool: &mut BackendPool,
-    items: &[SubmitItem],
-) -> Response {
-    relay.obs.emit(|| Event::WireBatch {
-        verb: "submit_batch".into(),
-        items: items.len() as u64,
-    });
-    let mut responses: Vec<Option<Response>> = vec![None; items.len()];
-    let mut routes: Vec<Option<(JobKey, String)>> = vec![None; items.len()];
-    let mut by_owner: HashMap<usize, Vec<usize>> = HashMap::new();
-    let routable = relay.routable_mask();
-    for (index, item) in items.iter().enumerate() {
-        match prepare_submit(relay, item, "submit_batch") {
-            Prepared::Answered(response) => responses[index] = Some(response),
-            Prepared::Route { key, canonical } => {
-                match relay.ring.route_live(key, &routable) {
-                    Some(owner) => {
-                        by_owner.entry(owner).or_default().push(index);
-                        routes[index] = Some((key, canonical));
-                    }
-                    None => {
-                        let canonical_item = SubmitItem {
-                            spec: canonical,
-                            ..item.clone()
-                        };
-                        responses[index] = Some(
-                            edge_brownout(relay, key, &canonical_item)
-                                .unwrap_or_else(|| no_backend("submit_batch")),
-                        );
-                    }
-                }
-            }
+    ticket: u64,
+    entry: &TicketEntry,
+    action: &TicketAction,
+) -> Option<Response> {
+    if entry.backend.is_some() {
+        return None;
+    }
+    match action {
+        TicketAction::Status => Some(Response::Status {
+            state: "done".into(),
+        }),
+        TicketAction::Cancel => Some(Response::Cancel {
+            cancel: "already_done".into(),
+        }),
+        TicketAction::Result { .. } => {
+            let cached = lock(&relay.edge).get(entry.key)?;
+            relay.bump(|s| s.edge_hits += 1);
+            relay.forget(ticket);
+            Some(cached)
         }
     }
-    let mut owners: Vec<usize> = by_owner.keys().copied().collect();
-    owners.sort_unstable();
-    for owner in owners {
-        let indices = &by_owner[&owner];
-        let sub_batch = Request::SubmitBatch(
-            indices
-                .iter()
-                .map(|&index| {
-                    let (_, canonical) = routes[index].as_ref().expect("routed item");
-                    SubmitItem {
-                        spec: canonical.clone(),
-                        ..items[index].clone()
-                    }
-                })
-                .collect(),
-        );
-        let sub_responses = match forward(
-            relay,
-            pool,
-            owner,
-            &sub_batch,
-            relay.config.forward_deadline,
-        ) {
-            Ok(Response::Batch(sub)) if sub.len() == indices.len() => Some(sub),
-            Ok(_) => None,
-            Err(err) => {
-                if !is_breaker_open(&err) {
-                    relay.record_probe(owner, Err(()));
-                }
-                None
-            }
-        };
-        match sub_responses {
-            Some(sub) => {
-                for (&index, sub_response) in indices.iter().zip(sub) {
-                    let (key, canonical) = routes[index].clone().expect("routed item");
-                    responses[index] = Some(match sub_response {
-                        Response::Submit(ok) => {
-                            let canonical_item = SubmitItem {
-                                spec: canonical,
-                                ..items[index].clone()
-                            };
-                            let ticket = relay.register_ticket(
-                                key,
-                                canonical_item,
-                                Some(owner),
-                                ok.ticket,
-                            );
-                            Response::Submit(SubmitOk {
-                                ticket,
-                                job: key.to_string(),
-                                disposition: ok.disposition,
-                                depth: ok.depth,
-                                node: Some(owner as u64),
-                                edge: false,
-                            })
-                        }
-                        other => other,
-                    });
-                }
-            }
-            None => {
-                // The whole sub-batch failed in transit: re-drive each
-                // item through the retrying single-submit path, which
-                // walks the ring past the failed owner.
-                for &index in indices {
-                    let (key, canonical) = routes[index].clone().expect("routed item");
-                    responses[index] = Some(submit_via_ring(
-                        relay,
-                        pool,
-                        key,
-                        &canonical,
-                        &items[index],
-                        "submit_batch",
-                    ));
-                }
-            }
-        }
-    }
-    Response::Batch(
-        responses
-            .into_iter()
-            .map(|response| response.expect("every batch item answered"))
-            .collect(),
-    )
 }
 
-/// `status_batch` / `result_batch` at the relay: group the tickets by
-/// their live owning backend and forward one sub-batch per backend.
-/// Edge tickets, unknown tickets, dead owners, lost tickets, and
-/// failed sub-batches all take the single-ticket path, which answers
-/// locally or re-drives on the ring.
-fn relay_ticket_batch(
+/// The ticket core behind `status`, `result`, and `cancel` (each a
+/// batch of one) and `status_batch`/`result_batch`. Each round answers
+/// what the edge can, re-homes tickets whose owner is gone or failed
+/// them, and forwards one request per live owner in the client's shape.
+/// Only tickets whose forward failed or whose backend lost them are
+/// carried into the next round. A `result` wait is one deadline for the
+/// whole call: every forward waits only for what is left of it.
+fn relay_tickets(
     relay: &Relay,
     pool: &mut BackendPool,
     tickets: &[u64],
     action: &TicketAction,
-    verb: &str,
+    batch: bool,
 ) -> Response {
-    relay.obs.emit(|| Event::WireBatch {
-        verb: verb.to_owned(),
-        items: tickets.len() as u64,
-    });
-    let mut responses: Vec<Option<Response>> = vec![None; tickets.len()];
-    // node -> (item index, relay ticket, backend ticket)
-    let mut by_backend: HashMap<usize, Vec<(usize, u64, u64)>> = HashMap::new();
-    for (index, &ticket) in tickets.iter().enumerate() {
-        let entry = {
-            let map = relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
-            map.get(&ticket).cloned()
-        };
-        match entry {
-            None => responses[index] = Some(unknown_ticket(verb)),
-            Some(entry) => match entry.backend {
-                Some(node) if relay.node_state(node).routes() => {
-                    by_backend
-                        .entry(node)
-                        .or_default()
-                        .push((index, ticket, entry.remote_ticket));
-                }
-                _ => {
-                    responses[index] =
-                        Some(relay_forward_ticket(relay, pool, ticket, action, verb));
-                }
-            },
-        }
+    let verb = action.verb(batch);
+    if batch {
+        relay.obs.emit(|| Event::WireBatch {
+            verb: verb.into(),
+            items: tickets.len() as u64,
+        });
     }
-    let mut backends: Vec<usize> = by_backend.keys().copied().collect();
-    backends.sort_unstable();
-    for node in backends {
-        let group = &by_backend[&node];
-        let remote: Vec<u64> = group.iter().map(|&(_, _, remote)| remote).collect();
-        let (sub_batch, deadline) = match action {
-            TicketAction::Status => (
-                Request::StatusBatch { tickets: remote },
-                relay.config.forward_deadline,
-            ),
-            TicketAction::Result { timeout_ms } => {
-                // One whole-batch deadline, exactly the backend's own
-                // result_batch semantics.
-                let (wait_ms, deadline) = result_read_deadline(relay, *timeout_ms);
-                (
-                    Request::ResultBatch {
-                        tickets: remote,
-                        timeout_ms: Some(wait_ms),
-                    },
-                    deadline,
-                )
-            }
-            TicketAction::Cancel => {
-                // No cancel_batch verb exists; answer item by item.
-                for &(index, ticket, _) in group {
-                    responses[index] =
-                        Some(relay_forward_ticket(relay, pool, ticket, action, verb));
-                }
+    let wait_ms = match action {
+        TicketAction::Result { timeout_ms } => timeout_ms.unwrap_or(MAX_RESULT_WAIT_MS),
+        _ => 0,
+    };
+    let deadline = Instant::now() + Duration::from_millis(wait_ms);
+    let mut answers: Vec<Option<Response>> = vec![None; tickets.len()];
+    let mut pending: Vec<Owed> = tickets
+        .iter()
+        .enumerate()
+        .map(|(index, &ticket)| Owed {
+            index,
+            ticket,
+            failed_at: None,
+        })
+        .collect();
+    let mut rounds = Rounds::new(relay, tickets.first().copied().unwrap_or(0));
+    while !pending.is_empty() && rounds.next_round() {
+        let routable = relay.routable_mask();
+        let mut by_owner: BTreeMap<usize, Vec<(Owed, TicketEntry)>> = BTreeMap::new();
+        let (mut strays, mut orphans) = (Vec::new(), Vec::new());
+        for owed in pending.drain(..) {
+            let Some(entry) = relay.ticket(owed.ticket) else {
+                answers[owed.index] = Some(unknown_ticket(verb));
+                continue;
+            };
+            if let Some(answer) = edge_answer(relay, owed.ticket, &entry, action) {
+                answers[owed.index] = Some(answer);
                 continue;
             }
-        };
-        let outcome = forward(relay, pool, node, &sub_batch, deadline);
-        match outcome {
-            Ok(Response::Batch(sub)) if sub.len() == group.len() => {
-                for (&(index, ticket, _), item_response) in group.iter().zip(sub) {
-                    if is_lost_ticket(&item_response) {
-                        // The backend restarted; re-drive this one.
-                        responses[index] =
-                            Some(relay_forward_ticket(relay, pool, ticket, action, verb));
-                        continue;
-                    }
-                    if matches!(action, TicketAction::Result { .. }) {
-                        let entry = {
-                            let map =
-                                relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
-                            map.get(&ticket).cloned()
-                        };
-                        if let Some(entry) = entry {
-                            cache_terminal_result(relay, &entry, ticket, &item_response);
-                        }
-                    }
-                    responses[index] = Some(item_response);
+            match entry.backend {
+                Some(node) if routable[node] && owed.failed_at != Some(entry.generation) => {
+                    by_owner.entry(node).or_default().push((owed, entry));
+                }
+                _ => {
+                    orphans.push((owed.ticket, entry));
+                    strays.push(owed);
                 }
             }
-            other => {
-                if let Err(err) = &other {
-                    if !is_breaker_open(err) {
-                        relay.record_probe(node, Err(()));
-                    }
+        }
+        let homes = rehome(relay, pool, &orphans, &routable);
+        for (owed, home) in strays.into_iter().zip(homes) {
+            match home {
+                Rehomed::Moved(node, moved) => {
+                    by_owner.entry(node).or_default().push((owed, moved));
                 }
-                for &(index, ticket, _) in group {
-                    responses[index] =
-                        Some(relay_forward_ticket(relay, pool, ticket, action, verb));
+                Rehomed::Stranded => answers[owed.index] = Some(no_backend(verb)),
+                Rehomed::Retry => pending.push(owed),
+            }
+        }
+        for (node, group) in by_owner {
+            let remote = group.iter().map(|(_, entry)| entry.remote_ticket).collect();
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (request, read_deadline) =
+                action.request(remote, batch, left, relay.config.forward_deadline);
+            let mut replies =
+                forward_items(relay, pool, node, &request, group.len(), read_deadline)
+                    .map(Vec::into_iter);
+            for (owed, entry) in group {
+                match replies.as_mut().and_then(Iterator::next) {
+                    Some(answer) if !is_lost_ticket(&answer) => {
+                        if matches!(action, TicketAction::Result { .. }) {
+                            cache_terminal_result(relay, &entry, owed.ticket, &answer);
+                        }
+                        answers[owed.index] = Some(answer);
+                    }
+                    // The forward failed, or the backend restarted and
+                    // lost the ticket (its journal replay may still be
+                    // re-running the job): re-home it next round.
+                    _ => pending.push(Owed {
+                        failed_at: Some(entry.generation),
+                        ..owed
+                    }),
                 }
             }
         }
     }
-    Response::Batch(
-        responses
-            .into_iter()
-            .map(|response| response.expect("every batch item answered"))
-            .collect(),
-    )
+    for owed in pending {
+        answers[owed.index] = Some(Response::Error(
+            WireError::new(ErrorCode::Unavailable, verb)
+                .with_detail("backends unreachable within the retry budget"),
+        ));
+    }
+    reply(answers, batch)
 }
 
-/// status / result / cancel for one ticket: look the relay ticket up,
-/// forward to the owning backend, and on transport failure or a
-/// backend restart re-drive the job on the ring's live owner (the
-/// failover path).
-fn relay_forward_ticket(
+/// How [`rehome`] left one orphaned ticket.
+enum Rehomed {
+    /// Re-submitted to this node and moved there.
+    Moved(usize, TicketEntry),
+    /// No routable owner is left for the job.
+    Stranded,
+    /// Not moved this time: the re-submit failed or was refused, or
+    /// another thread moved the ticket first.
+    Retry,
+}
+
+/// Re-homes orphaned tickets (owner dead, restarted, or failing) on
+/// their ring owners under `routable`: one batched re-submit per owner,
+/// then each accepted ticket moves via [`Relay::move_ticket`]. The
+/// ticket core and the prober's failover both re-home through here.
+/// Exactly-once holds because the owner's memo store and single-flight
+/// coalescing dedup any racing re-submit of the same `JobKey`.
+fn rehome(
     relay: &Relay,
     pool: &mut BackendPool,
-    ticket: u64,
-    action: &TicketAction,
-    verb: &str,
-) -> Response {
-    let entry = {
-        let tickets = relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
-        tickets.get(&ticket).cloned()
-    };
-    let Some(mut entry) = entry else {
-        return unknown_ticket(verb);
-    };
-
-    // Edge tickets: the result is (or was) in the edge LRU.
-    if entry.backend.is_none() {
-        match action {
-            TicketAction::Status => {
-                return Response::Status {
-                    state: "done".into(),
+    orphans: &[(u64, TicketEntry)],
+    routable: &[bool],
+) -> Vec<Rehomed> {
+    let mut homes: Vec<Rehomed> = orphans.iter().map(|_| Rehomed::Stranded).collect();
+    let mut by_owner: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (index, (_, entry)) in orphans.iter().enumerate() {
+        if let Some(owner) = relay.ring.route_live(entry.key, routable) {
+            by_owner.entry(owner).or_default().push(index);
+            homes[index] = Rehomed::Retry;
+        }
+    }
+    for (owner, group) in by_owner {
+        let items = group
+            .iter()
+            .map(|&index| orphans[index].1.item.clone())
+            .collect();
+        let request = Request::SubmitBatch(items);
+        let deadline = relay.config.forward_deadline;
+        let Some(replies) = forward_items(relay, pool, owner, &request, group.len(), deadline)
+        else {
+            continue;
+        };
+        for (&index, answer) in group.iter().zip(replies) {
+            let (ticket, seen) = &orphans[index];
+            if let Response::Submit(ok) = answer {
+                if let Some(moved) = relay.move_ticket(*ticket, seen, owner, ok.ticket) {
+                    homes[index] = Rehomed::Moved(owner, moved);
                 }
-            }
-            TicketAction::Cancel => {
-                return Response::Cancel {
-                    cancel: "already_done".into(),
-                }
-            }
-            TicketAction::Result { .. } => {
-                let cached = {
-                    let mut edge = relay.edge.lock().unwrap_or_else(|e| e.into_inner());
-                    edge.get(entry.key)
-                };
-                if let Some(response) = cached {
-                    relay.bump(|s| s.edge_hits += 1);
-                    relay
-                        .tickets
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .remove(&ticket);
-                    return response;
-                }
-                // Evicted between submit and result: fall through to a
-                // re-drive on the owning ring node.
             }
         }
     }
-
-    let timeout_ms = match action {
-        TicketAction::Result { timeout_ms } => *timeout_ms,
-        _ => None,
-    };
-    let (wait_ms, read_deadline) = result_read_deadline(relay, timeout_ms);
-    let attempts = relay.config.retry_budget.max(1) + 1;
-    let mut jitter = Jitter::new(relay.config.seed ^ entry.key.0 ^ ticket);
-    for attempt in 1..=attempts {
-        // Ensure the job is owned by a live backend, re-submitting it
-        // if its owner died or restarted (exactly-once: the survivor
-        // memo dedups by JobKey whether this thread or the prober wins).
-        let node = match entry.backend {
-            Some(node) if relay.node_state(node).routes() => node,
-            _ => {
-                let alive = relay.alive_mask();
-                let Some(target) = relay.ring.route_live(entry.key, &alive) else {
-                    return no_backend(verb);
-                };
-                match relay.resubmit(target, &entry) {
-                    Ok(remote_ticket) => {
-                        relay.bump(|s| s.reroutes += 1);
-                        let from = entry.backend.map_or(u64::MAX, |n| n as u64);
-                        let job = entry.key.0;
-                        relay.obs.emit(|| Event::Reroute {
-                            job,
-                            from,
-                            to: target as u64,
-                        });
-                        entry.backend = Some(target);
-                        entry.remote_ticket = remote_ticket;
-                        entry.generation += 1;
-                        let mut tickets =
-                            relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
-                        if let Some(live) = tickets.get_mut(&ticket) {
-                            *live = entry.clone();
-                        }
-                        target
-                    }
-                    Err(_) => {
-                        relay.record_probe(target, Err(()));
-                        backoff_sleep(relay, &mut jitter, attempt, attempts);
-                        continue;
-                    }
-                }
-            }
-        };
-        let forward_request = match action {
-            TicketAction::Result { .. } => Request::Result {
-                ticket: entry.remote_ticket,
-                timeout_ms: Some(wait_ms),
-            },
-            TicketAction::Status => Request::Status {
-                ticket: entry.remote_ticket,
-            },
-            TicketAction::Cancel => Request::Cancel {
-                ticket: entry.remote_ticket,
-            },
-        };
-        let deadline = if matches!(action, TicketAction::Result { .. }) {
-            read_deadline
-        } else {
-            relay.config.forward_deadline
-        };
-        match forward(relay, pool, node, &forward_request, deadline) {
-            Ok(response) => {
-                if is_lost_ticket(&response) {
-                    // The backend restarted and lost its tickets; the
-                    // journal replay may still be re-running the job.
-                    // Re-submit (memo/coalescing dedups) and retry.
-                    entry.backend = None;
-                    backoff_sleep(relay, &mut jitter, attempt, attempts);
-                    continue;
-                }
-                if matches!(action, TicketAction::Result { .. }) {
-                    cache_terminal_result(relay, &entry, ticket, &response);
-                }
-                return response;
-            }
-            Err(err) => {
-                if !is_breaker_open(&err) {
-                    relay.record_probe(node, Err(()));
-                }
-                // The prober may have moved the job already; pick up
-                // its new home before re-driving it ourselves.
-                let latest = {
-                    let tickets = relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
-                    tickets.get(&ticket).cloned()
-                };
-                match latest {
-                    Some(live) if live.generation > entry.generation => entry = live,
-                    Some(live) => {
-                        entry = live;
-                        entry.backend = None; // force a re-route
-                    }
-                    None => return unknown_ticket(verb),
-                }
-                backoff_sleep(relay, &mut jitter, attempt, attempts);
-            }
-        }
-    }
-    Response::Error(
-        WireError::new(ErrorCode::Unavailable, verb)
-            .with_detail("backends unreachable within the retry budget"),
-    )
-}
-
-fn backoff_sleep(relay: &Relay, jitter: &mut Jitter, attempt: u32, attempts: u32) {
-    if attempt < attempts {
-        relay.bump(|s| s.retries += 1);
-        let base = backoff_delay(relay.config.retry_backoff, attempt);
-        let extra = jitter.below(base.as_millis().max(1) as u64);
-        std::thread::sleep(base + Duration::from_millis(extra));
-    }
+    homes
 }
 
 /// A terminal `result` response replicates into the edge LRU (and the
@@ -1476,31 +1277,19 @@ fn cache_terminal_result(
         let degraded = ok.body.as_ref().is_some_and(|body| {
             matches!(body.fidelity.as_deref(), Some(rung) if rung != Fidelity::Reciprocal.name())
         });
-        let mut edge = relay.edge.lock().unwrap_or_else(|e| e.into_inner());
-        edge.insert(entry.key, response.clone(), degraded);
+        lock(&relay.edge).insert(entry.key, response.clone(), degraded);
     }
     // The backend collected its ticket; ours is spent too.
-    relay
-        .tickets
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&ticket);
+    relay.forget(ticket);
 }
 
 /// One backend's parsed `stats` report, or `None` when it cannot be
-/// had; a transport failure (not an open breaker) counts as a failed
-/// probe.
+/// had.
 fn backend_stats(relay: &Relay, pool: &mut BackendPool, node: usize) -> Option<Json> {
     let deadline = relay.config.forward_deadline;
-    match forward(relay, pool, node, &Request::Stats, deadline) {
-        Ok(Response::Report { json }) => Json::parse(&json).ok(),
-        Ok(_) => None,
-        Err(err) => {
-            if !is_breaker_open(&err) {
-                relay.record_probe(node, Err(()));
-            }
-            None
-        }
+    match forward(relay, pool, node, &Request::Stats, deadline)? {
+        Response::Report { json } => Json::parse(&json).ok(),
+        _ => None,
     }
 }
 
@@ -1570,10 +1359,7 @@ fn relay_node_stats(relay: &Relay, pool: &mut BackendPool) -> Response {
     let mut rows = Vec::with_capacity(relay.nodes.len());
     for node in 0..relay.nodes.len() {
         let (state, failures, rtt_ns) = {
-            let machine = relay.nodes[node]
-                .health
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let machine = lock(&relay.nodes[node].health);
             (
                 machine.state(),
                 u64::from(machine.failures()),
@@ -1581,10 +1367,7 @@ fn relay_node_stats(relay: &Relay, pool: &mut BackendPool) -> Response {
             )
         };
         let (breaker_state, breaker_trips) = {
-            let breaker = relay.nodes[node]
-                .breaker
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let breaker = lock(&relay.nodes[node].breaker);
             (breaker.state(), breaker.trips())
         };
         let mut fields = vec![
@@ -1845,8 +1628,9 @@ mod tests {
         let relay = relay_direct(&[addr], test_breaker());
         let mut pool = BackendPool::new(&relay);
 
-        // Nothing listens yet: both forward attempts fail, which is
-        // exactly min_samples at 100% error rate — the breaker trips.
+        // Nothing listens yet: the first two rounds fail, which is
+        // exactly min_samples at 100% error rate — the breaker trips,
+        // and the last round finds no routable owner.
         let refused = handle_relay_request(
             &relay,
             &mut pool,
@@ -1956,6 +1740,232 @@ mod tests {
             matches!(&strict, Response::Error(err) if err.code == ErrorCode::NoBackend),
             "a degraded edge entry must not satisfy a full-fidelity submit: {strict:?}"
         );
+    }
+
+    /// A job that runs for seconds, so it is still in flight whenever a
+    /// test looks at it.
+    fn slow_item(seed: u64) -> SubmitItem {
+        SubmitItem::new(format!(
+            "target=4x4 app=water mode=fixed:10 instructions=2000000 budget=10000000000 \
+             seed={seed}"
+        ))
+    }
+
+    #[test]
+    fn every_verb_makes_the_retry_budget_plus_one_attempts() {
+        let addr = reserved_addr();
+        // A breaker that never trips, so every round reaches the socket.
+        let never_trips = BreakerConfig {
+            min_samples: usize::MAX,
+            ..test_breaker()
+        };
+        let submits = [
+            Request::Submit(SubmitItem::new(SPEC)),
+            Request::SubmitBatch(vec![SubmitItem::new(SPEC)]),
+        ];
+        for request in submits {
+            let relay = relay_direct(&[addr], never_trips.clone());
+            let mut pool = BackendPool::new(&relay);
+            let answer = match handle_relay_request(&relay, &mut pool, &request) {
+                Response::Batch(mut answers) => answers.pop().expect("one item"),
+                single => single,
+            };
+            assert!(
+                matches!(&answer, Response::Error(err) if err.code == ErrorCode::NoBackend),
+                "{answer:?}"
+            );
+            assert_eq!(relay.breaker_state(0), BreakerState::Closed);
+            assert_eq!(
+                relay.stats().retries,
+                u64::from(relay.config.retry_budget),
+                "retry_budget counts the attempts beyond the first: {request:?}"
+            );
+        }
+
+        // A ticket verb on a job whose owner is unreachable spends the
+        // same budget before giving up.
+        let relay = relay_direct(&[addr], never_trips);
+        let mut pool = BackendPool::new(&relay);
+        let key = SPEC.parse::<JobSpec>().expect("spec parses").job_hash();
+        let ticket = relay.register_ticket(key, SubmitItem::new(SPEC), Some(0), 7);
+        let answer = handle_relay_request(&relay, &mut pool, &Request::Status { ticket });
+        assert!(
+            matches!(&answer, Response::Error(err) if err.code == ErrorCode::Unavailable),
+            "{answer:?}"
+        );
+        assert_eq!(relay.stats().retries, u64::from(relay.config.retry_budget));
+    }
+
+    #[test]
+    fn a_batch_and_its_singles_route_past_an_unreachable_owner_alike() {
+        let dead = reserved_addr();
+        let specs: Vec<String> = (0..8).map(|seed| format!("{SPEC} seed={seed}")).collect();
+        let keys: Vec<JobKey> = specs
+            .iter()
+            .map(|spec| spec.parse::<JobSpec>().expect("spec parses").job_hash())
+            .collect();
+
+        // One submit_batch over a live node 0 and an unreachable node 1.
+        let live = backend(1);
+        let relay = relay_direct(&[live.addr(), dead], test_breaker());
+        let owners: Vec<usize> = keys.iter().map(|&key| relay.ring.route(key)).collect();
+        assert!(
+            owners.contains(&0) && owners.contains(&1),
+            "the specs must span both owners: {owners:?}"
+        );
+        let mut pool = BackendPool::new(&relay);
+        let items = specs.iter().map(SubmitItem::new).collect();
+        let batched = match handle_relay_request(&relay, &mut pool, &Request::SubmitBatch(items)) {
+            Response::Batch(answers) => answers,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(relay.breaker_state(1), BreakerState::Open);
+        live.stop();
+
+        // The same specs as single submits, against a fresh pair.
+        let live = backend(1);
+        let relay = relay_direct(&[live.addr(), dead], test_breaker());
+        let mut pool = BackendPool::new(&relay);
+        let singles: Vec<Response> = specs
+            .iter()
+            .map(|spec| {
+                let request = Request::Submit(SubmitItem::new(spec));
+                handle_relay_request(&relay, &mut pool, &request)
+            })
+            .collect();
+        live.stop();
+
+        assert_eq!(batched.len(), specs.len());
+        for (index, (batch, single)) in batched.iter().zip(&singles).enumerate() {
+            let (Response::Submit(batch), Response::Submit(single)) = (batch, single) else {
+                panic!("item {index}: {batch:?} / {single:?}");
+            };
+            let job = keys[index].to_string();
+            assert_eq!(batch.job, job, "answers come back in request order");
+            assert_eq!(single.job, job);
+            assert_eq!(batch.node, Some(0), "item {index} lands on the live node");
+            assert_eq!(
+                (batch.node, &batch.disposition),
+                (single.node, &single.disposition),
+                "item {index}"
+            );
+        }
+    }
+
+    #[test]
+    fn relay_cancel_reaches_backend_tickets_and_answers_edge_tickets() {
+        let live = backend(1);
+        let relay = relay_direct(&[live.addr()], test_breaker());
+        let mut pool = BackendPool::new(&relay);
+        let mut call = |request: Request| handle_relay_request(&relay, &mut pool, &request);
+        let mut submit = |item: SubmitItem| match call(Request::Submit(item)) {
+            Response::Submit(ok) => ok,
+            other => panic!("{other:?}"),
+        };
+
+        // A backend ticket: the job queued behind a slow one is cancelled
+        // on its owner.
+        let running = submit(slow_item(1));
+        let queued = submit(slow_item(2));
+        let done = submit(SubmitItem::new(SPEC));
+        assert_eq!(
+            call(Request::Cancel {
+                ticket: queued.ticket
+            }),
+            Response::Cancel {
+                cancel: "cancelled".into()
+            }
+        );
+        let stopped = call(Request::Cancel {
+            ticket: running.ticket,
+        });
+        assert!(matches!(stopped, Response::Cancel { .. }), "{stopped:?}");
+
+        // An edge ticket: the result already sits at the edge, so there
+        // is nothing left to cancel.
+        let outcome = call(Request::Result {
+            ticket: done.ticket,
+            timeout_ms: Some(30_000),
+        });
+        assert!(matches!(&outcome, Response::Outcome(ok) if ok.outcome == "completed"));
+        let Response::Submit(edge) = call(Request::Submit(SubmitItem::new(SPEC))) else {
+            panic!("a repeat submit is answered");
+        };
+        assert!(edge.edge, "{edge:?}");
+        assert_eq!(
+            call(Request::Cancel {
+                ticket: edge.ticket
+            }),
+            Response::Cancel {
+                cancel: "already_done".into()
+            }
+        );
+        live.stop();
+    }
+
+    #[test]
+    fn result_batch_re_drives_lost_tickets_within_one_deadline() {
+        let addr = reserved_addr();
+        let relay = relay_direct(&[addr], test_breaker());
+        let first = backend_at(addr);
+        let tickets: Vec<u64> = {
+            let mut pool = BackendPool::new(&relay);
+            let request = Request::SubmitBatch(vec![slow_item(1), slow_item(2)]);
+            let Response::Batch(answers) = handle_relay_request(&relay, &mut pool, &request) else {
+                panic!("a batch answers with a batch");
+            };
+            let tickets = answers
+                .iter()
+                .map(|answer| match answer {
+                    Response::Submit(ok) => ok.ticket,
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            // Stop the jobs on the first backend; its connection closes
+            // with the pool.
+            for &ticket in &tickets {
+                let stopped = handle_relay_request(&relay, &mut pool, &Request::Cancel { ticket });
+                assert!(matches!(stopped, Response::Cancel { .. }), "{stopped:?}");
+            }
+            tickets
+        };
+        first.stop();
+
+        // A new backend at the same address never heard of the tickets:
+        // both come back unknown_ticket, are re-submitted, and then wait
+        // out whatever is left of the one deadline.
+        let second = backend_at(addr);
+        let mut pool = BackendPool::new(&relay);
+        let timeout_ms = 300;
+        let started = Instant::now();
+        let request = Request::ResultBatch {
+            tickets: tickets.clone(),
+            timeout_ms: Some(timeout_ms),
+        };
+        let answers = handle_relay_request(&relay, &mut pool, &request);
+        let elapsed = started.elapsed();
+        let Response::Batch(answers) = answers else {
+            panic!("{answers:?}");
+        };
+        for answer in &answers {
+            assert!(
+                matches!(answer, Response::Error(err) if err.code == ErrorCode::Timeout),
+                "{answer:?}"
+            );
+        }
+        assert!(
+            elapsed < Duration::from_millis(2 * timeout_ms),
+            "two re-driven tickets must share one deadline: {elapsed:?}"
+        );
+        assert_eq!(
+            relay.stats().reroutes,
+            2,
+            "each lost ticket is re-homed once"
+        );
+        for ticket in tickets {
+            handle_relay_request(&relay, &mut pool, &Request::Cancel { ticket });
+        }
+        second.stop();
     }
 
     #[test]
