@@ -71,24 +71,29 @@ const TOPOLOGIES: [TopologyKind; 3] = [
 ];
 
 /// The pinned matrix the acceptance criteria name: every topology, three
-/// seeds each, workers in {1, 2, 4, 8}, gating on and off — all against
-/// the ungated serial reference.
+/// seeds each, link latencies 1 to 3 (multi-slot wire rings), workers in
+/// {1, 2, 4, 8}, gating on and off — all against the ungated serial
+/// reference.
 #[test]
 fn engine_matrix_is_bit_identical_to_serial_reference() {
-    for topology in TOPOLOGIES {
-        for seed in [1u64, 7, 23] {
-            let reference = run(config(topology, seed, false), seed, None);
-            assert!(reference.delivered > 0, "sterile case: {topology:?}/{seed}");
-            // Serial + gating must match before parallelism enters.
-            let gated = run(config(topology, seed, true), seed, None);
-            assert_eq!(reference, gated, "serial gated: {topology:?}/{seed}");
-            for workers in [1usize, 2, 4, 8] {
-                for gating in [false, true] {
-                    let candidate = run(config(topology, seed, gating), seed, Some(workers));
-                    assert_eq!(
-                        reference, candidate,
-                        "{topology:?} seed {seed} workers {workers} gating {gating}"
-                    );
+    for latency in [1u32, 2, 3] {
+        for topology in TOPOLOGIES {
+            for seed in [1u64, 7, 23] {
+                let cfg = |gating| config(topology, seed, gating).with_link_latency(latency);
+                let case = format!("{topology:?} seed {seed} latency {latency}");
+                let reference = run(cfg(false), seed, None);
+                assert!(reference.delivered > 0, "sterile case: {case}");
+                // Serial + gating must match before parallelism enters.
+                let gated = run(cfg(true), seed, None);
+                assert_eq!(reference, gated, "serial gated: {case}");
+                for workers in [1usize, 2, 4, 8] {
+                    for gating in [false, true] {
+                        let candidate = run(cfg(gating), seed, Some(workers));
+                        assert_eq!(
+                            reference, candidate,
+                            "{case} workers {workers} gating {gating}"
+                        );
+                    }
                 }
             }
         }

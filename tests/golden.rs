@@ -7,10 +7,12 @@
 //! counters summed over the network — on every router code path the
 //! allocators branch on: a mesh co-simulation, a torus (dateline VC
 //! classes), an 8-port concentrated mesh, O1TURN (parity VC bands), a
-//! flaky link (route compute's orphan-discard branch), and a chiplet.
+//! flaky link (route compute's orphan-discard branch), two-cycle links
+//! (multi-slot wire rings), and a chiplet.
 //!
 //! The values were recorded before the router's scans became bitmask
-//! walks. Editing one is a simulated-behaviour change, not a test fix.
+//! walks, and the two-cycle-link pin before links became push-based.
+//! Editing one is a simulated-behaviour change, not a test fix.
 
 use reciprocal_abstraction::cosim::{InterposerClass, ReciprocalNetwork, Target};
 use reciprocal_abstraction::fullsys::FullSystem;
@@ -205,6 +207,25 @@ fn flaky_link_orphans_are_discarded() {
             vc_allocs: 8001,
             sa_grants: 18156,
             buffer_writes: 18354
+        }
+    );
+}
+
+#[test]
+fn two_cycle_links() {
+    // Every preset uses one-cycle links; this is the only pin on the
+    // three-slot wire ring and the slot arithmetic at `link_latency > 1`.
+    let got = noc_case(NocConfig::new(8, 4).with_link_latency(2));
+    assert_eq!(
+        got,
+        Golden {
+            cycles: 1200,
+            messages: 1777,
+            latency_mean_bits: 4626645692724227803,
+            flits: 4233,
+            vc_allocs: 8751,
+            sa_grants: 20607,
+            buffer_writes: 20607
         }
     );
 }
