@@ -63,8 +63,8 @@ use std::thread::JoinHandle;
 use parking_lot::RwLock;
 use ra_obs::{Event, ObsSink};
 use ra_noc::{
-    EngineParts, Flit, NocNetwork, ReleasedInjection, Router, TopologyMap, Wire, Wires,
-    MAX_BATCH_CYCLES,
+    Arrivals, Credit, EngineParts, Flit, NocNetwork, ReleasedInjection, Router, Slot, TopologyMap,
+    Wires, MAX_BATCH_CYCLES,
 };
 use ra_sim::SimError;
 
@@ -147,22 +147,19 @@ impl SpinBarrier {
 #[derive(Clone, Copy)]
 struct Job {
     routers: *mut Router,
-    n_routers: usize,
     topo: *const TopologyMap,
     wires: *const Wires,
-    flit_wires: *mut Wire<Flit>,
-    credit_wires: *mut Wire<u8>,
-    ports: usize,
+    flit_slots: *mut Slot<Flit>,
+    credit_slots: *mut Slot<Credit>,
+    /// Slots each router owns per bank: `ports * (link_latency + 1)`.
+    chunk: usize,
+    /// Per-router arrival words (atomics: any worker may mark any router).
+    arrivals: *const Arrivals,
     /// First cycle of the batch.
     t0: u64,
     /// Cycles in the batch (1..=[`MAX_BATCH_CYCLES`]).
     cycles: u64,
     gating: bool,
-    link_latency: u64,
-    /// Per-router exclusive wake bounds (atomics: workers race benignly).
-    wake: *const AtomicU64,
-    wake_flit_dst: *const u32,
-    wake_credit_dst: *const u32,
     /// `workers + 1` cumulative range bounds (worker `w` owns
     /// `bounds[w]..bounds[w+1]`).
     bounds: *const u32,
@@ -175,19 +172,15 @@ impl Job {
     const fn empty() -> Self {
         Job {
             routers: std::ptr::null_mut(),
-            n_routers: 0,
             topo: std::ptr::null(),
             wires: std::ptr::null(),
-            flit_wires: std::ptr::null_mut(),
-            credit_wires: std::ptr::null_mut(),
-            ports: 0,
+            flit_slots: std::ptr::null_mut(),
+            credit_slots: std::ptr::null_mut(),
+            chunk: 0,
+            arrivals: std::ptr::null(),
             t0: 0,
             cycles: 0,
             gating: false,
-            link_latency: 1,
-            wake: std::ptr::null(),
-            wake_flit_dst: std::ptr::null(),
-            wake_credit_dst: std::ptr::null(),
             bounds: std::ptr::null(),
             releases: std::ptr::null(),
             n_releases: 0,
@@ -198,9 +191,16 @@ impl Job {
 // SAFETY: the pointers are only dereferenced by workers between the start
 // and end barriers of a batch, while the owning &mut NocNetwork (and the
 // engine's bounds/releases buffers) are pinned on the coordinating thread
-// inside `run_batch`. Each worker mutates a disjoint router/wire range; the
-// shared wake array is only touched through atomics; topo, wires (in
-// compute), bounds, and releases are read-only.
+// inside `run_batch`. Each worker mutates a disjoint router range and, in
+// send, those routers' disjoint slot chunks. The arrival words are only
+// touched through atomics: in cycle `c` a worker takes (loads and zeroes)
+// slot `c % P` of its own routers only, and the sends of `c` `fetch_or`
+// into slot `(c + L) % P` of any router, which differs for `L >= 1` and
+// which nobody reads or clears before cycle `c + L`, so the marks do not
+// need the `mid` barrier. Wire reads in compute use ring slot
+// `(c - L) % P`, never the `c % P` the sends of `c` write; what still needs
+// `mid` is only that compute reads them through a shared `&Wires` borrow.
+// topo, bounds, and releases are read-only.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
@@ -256,10 +256,9 @@ fn compute_bounds(parts: &EngineParts<'_>, workers: usize, bounds: &mut Vec<u32>
         }
         return;
     }
-    let t0 = parts.now;
+    let slot = parts.arrivals.slot(parts.now);
     let weight = |r: usize| -> u64 {
-        let live =
-            EngineParts::router_live(true, &parts.routers[r], &parts.wake[r], t0);
+        let live = EngineParts::router_live(true, &parts.routers[r], parts.arrivals.load(r, slot));
         1 + u64::from(live) * (LIVE_WEIGHT - 1)
     };
     let total: u64 = (0..n).map(weight).sum::<u64>().max(1);
@@ -374,19 +373,15 @@ impl ParallelEngine {
             compute_bounds(&parts, self.workers, &mut self.bounds);
             let job = Job {
                 routers: parts.routers.as_mut_ptr(),
-                n_routers: parts.routers.len(),
                 topo: parts.topo,
                 wires: parts.wires,
-                flit_wires: parts.wires.flits.as_mut_ptr(),
-                credit_wires: parts.wires.credits.as_mut_ptr(),
-                ports: parts.wires.ports() as usize,
+                flit_slots: parts.wires.flits.as_mut_ptr(),
+                credit_slots: parts.wires.credits.as_mut_ptr(),
+                chunk: parts.wires.chunk(),
+                arrivals: parts.arrivals,
                 t0: parts.now,
                 cycles,
                 gating: parts.gating,
-                link_latency: parts.link_latency,
-                wake: parts.wake.as_ptr(),
-                wake_flit_dst: parts.wake_flit_dst.as_ptr(),
-                wake_credit_dst: parts.wake_credit_dst.as_ptr(),
                 bounds: self.bounds.as_ptr(),
                 releases: self.releases.as_ptr(),
                 n_releases: self.releases.len(),
@@ -526,12 +521,14 @@ unsafe fn compute_cycle(
     }
     let topo = &*job.topo;
     let wires = &*job.wires;
-    let wake = std::slice::from_raw_parts(job.wake, job.n_routers);
+    let arrivals = &*job.arrivals;
+    let slot = arrivals.slot(c);
     let mut any = false;
-    for (r, wake_r) in wake.iter().enumerate().take(hi).skip(lo) {
+    for r in lo..hi {
         let router = &mut *job.routers.add(r);
-        if EngineParts::router_live(job.gating, router, wake_r, c) {
-            router.phase_compute(topo, wires, c);
+        let marks = arrivals.take(r, slot);
+        if EngineParts::router_live(job.gating, router, marks) {
+            router.phase_compute(topo, wires, marks, c);
             any |= router.was_active();
         }
     }
@@ -543,39 +540,31 @@ unsafe fn compute_cycle(
 }
 
 /// Send phase of one batch cycle over `lo..hi`: publish staged output on
-/// the routers' own wire chunks and propagate wake bounds.
+/// the routers' own slot chunks and mark the receivers' arrival words.
 ///
 /// # Safety
 ///
 /// Same contract as [`compute_cycle`]; additionally each router writes only
-/// its own `ports`-sized wire chunk, disjoint because ranges are disjoint.
+/// its own `chunk`-sized slot chunks, disjoint because ranges are disjoint.
+/// The only writes that cross ranges are `fetch_or`s into arrival slot
+/// `(c + L) % P`, which no worker reads or clears before cycle `c + L`: the
+/// compute phase of `c` takes slot `c % P`, a different one.
 unsafe fn send_cycle(job: &Job, lo: usize, hi: usize, c: u64) {
-    let wake = std::slice::from_raw_parts(job.wake, job.n_routers);
-    let wake_flit_dst =
-        std::slice::from_raw_parts(job.wake_flit_dst, job.n_routers * job.ports);
-    let wake_credit_dst =
-        std::slice::from_raw_parts(job.wake_credit_dst, job.n_routers * job.ports);
-    let until = c + job.link_latency + 1; // exclusive wake bound
+    let topo = &*job.topo;
+    let arrivals = &*job.arrivals;
+    let landing = arrivals.landing_slot(c);
     for r in lo..hi {
         let router = &mut *job.routers.add(r);
         // Staging is produced by this cycle's compute, so a router with
         // nothing staged was either skipped or idle: no wire writes, no
-        // wakes.
+        // marks.
         if !router.has_staged() {
             continue;
         }
-        let fw = std::slice::from_raw_parts_mut(job.flit_wires.add(r * job.ports), job.ports);
-        let cw = std::slice::from_raw_parts_mut(job.credit_wires.add(r * job.ports), job.ports);
+        let fw = std::slice::from_raw_parts_mut(job.flit_slots.add(r * job.chunk), job.chunk);
+        let cw = std::slice::from_raw_parts_mut(job.credit_slots.add(r * job.chunk), job.chunk);
         router.phase_send(fw, cw, c);
-        EngineParts::propagate_wakes(
-            wake,
-            wake_flit_dst,
-            wake_credit_dst,
-            router,
-            r,
-            job.ports,
-            until,
-        );
+        arrivals.mark(topo, router, landing);
     }
 }
 

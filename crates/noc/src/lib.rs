@@ -63,12 +63,10 @@ pub use config::{NocConfig, Routing, TopologyKind};
 pub use deflection::{DeflectionConfig, DeflectionNetwork};
 pub use fault::{FaultEvent, FaultPlan};
 pub use flit::{Flit, FlitKind, PacketId};
-pub use network::{
-    EngineParts, NocNetwork, NocWindowSnapshot, ReleasedInjection, MAX_BATCH_CYCLES, NO_WAKE_TARGET,
-};
+pub use network::{EngineParts, NocNetwork, NocWindowSnapshot, ReleasedInjection, MAX_BATCH_CYCLES};
 pub use power::{EnergyBreakdown, EnergyParams};
 pub use router::Router;
 pub use stats::{FaultStats, NocStats};
 pub use topology::{RouteDecision, TopologyMap};
 pub use traffic::{InjectionProcess, TrafficGen, TrafficPattern};
-pub use wire::{Wire, Wires};
+pub use wire::{Arrivals, Credit, Slot, Wire, Wires};

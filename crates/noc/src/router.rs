@@ -2,8 +2,9 @@
 //!
 //! Each router executes two phases per cycle:
 //!
-//! 1. **compute** ([`Router::phase_compute`]) — reads incoming flit/credit
-//!    wires (immutable access to the shared [`Wires`]), then runs the
+//! 1. **compute** ([`Router::phase_compute`]) — reads the incoming flit and
+//!    credit wires its arrival word marks (immutable access to the shared
+//!    [`Wires`]), then runs the
 //!    pipeline stages in *reverse* order (SA/ST, then VA, then RC) so a flit
 //!    advances at most one stage per cycle: a head flit arriving at cycle
 //!    `t` route-computes at `t`, gets a VC at `t+1`, and traverses the
@@ -57,7 +58,7 @@ use crate::fault::FaultState;
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::stats::FaultStats;
 use crate::topology::TopologyMap;
-use crate::wire::{Credit, Wire, Wires};
+use crate::wire::{Credit, Slot, Wires};
 
 /// Limits of a router's state (`NocConfig::validate` enforces them): `u32`
 /// port masks, `u64` VC masks, and `u8` ring heads and lengths.
@@ -178,6 +179,8 @@ pub struct Router {
     ni_work: u32,
     /// Staged flits + credits awaiting `phase_send`.
     staged: u32,
+    /// Wire ring slots per link (`link_latency + 1`).
+    period: usize,
     /// The next cycle this router expects `phase_compute` for; used to
     /// fast-forward the VA round-robin pointer over gated-off cycles.
     clock: u64,
@@ -257,6 +260,7 @@ impl Router {
             buffered: 0,
             ni_work: 0,
             staged: 0,
+            period: cfg.link_latency as usize + 1,
             clock: 0,
             compute_calls: 0,
             sent_flit_mask: 0,
@@ -358,8 +362,8 @@ impl Router {
 
     /// True if this router has anything to do on its own: buffered flits,
     /// NI backlog, or staged wire output. A router with no work can only be
-    /// re-activated by an in-flight wire value, which the network tracks
-    /// through its wake set.
+    /// re-activated by an in-flight wire value, which marks the router's
+    /// arrival word for the cycle it lands.
     #[inline]
     pub fn has_work(&self) -> bool {
         // An armed debug panic counts as work so the fault-injection tests
@@ -547,11 +551,14 @@ impl Router {
 
     /// Phase 1: consume wires, run SA/ST, VA, RC, and NI injection.
     ///
+    /// `arrivals` is the router's arrival word for `now`, taken (loaded
+    /// and zeroed) by the engine: only the wires it marks are read.
+    ///
     /// A router frozen by a scripted [`RouterStall`](crate::FaultEvent)
     /// does nothing this cycle: it neither reads its wires (in-flight
     /// flits towards it expire unread and are lost upstream) nor stages
     /// anything to send.
-    pub fn phase_compute(&mut self, topo: &TopologyMap, wires: &Wires, now: u64) {
+    pub fn phase_compute(&mut self, topo: &TopologyMap, wires: &Wires, arrivals: u64, now: u64) {
         // Fast-forward the VA round-robin pointer over clock-gated cycles:
         // it is the only per-cycle state an idle router would still have
         // advanced, so catching it up here makes gated schedules
@@ -575,8 +582,9 @@ impl Router {
                 return;
             }
         }
-        self.receive_credits(topo, wires, now);
-        self.receive_flits(topo, wires, now);
+        if arrivals != 0 {
+            self.receive(topo, wires, arrivals, now);
+        }
         self.inject_from_ni(now);
         self.switch_allocate_and_traverse(now);
         self.vc_allocate();
@@ -585,24 +593,26 @@ impl Router {
 
     /// Phase 2: publish staged flits and credits on this router's wires.
     ///
-    /// `flit_wires` and `credit_wires` are the contiguous slices owned by
-    /// this router (`ports` entries each). Idle ports skip the wire write
+    /// `flit_slots` and `credit_slots` are the contiguous chunks this router
+    /// owns ([`Wires::chunks_mut`]). Idle ports skip the wire write
     /// entirely (wire slots are cycle-stamped, so no `None` scrubbing is
     /// needed), and the ports actually written are recorded in the sent
-    /// masks for the engines' wake propagation.
+    /// masks, from which the engine marks the receivers' arrival words
+    /// ([`Arrivals::mark`](crate::Arrivals::mark)).
     pub fn phase_send(
         &mut self,
-        flit_wires: &mut [Wire<Flit>],
-        credit_wires: &mut [Wire<Credit>],
+        flit_slots: &mut [Slot<Flit>],
+        credit_slots: &mut [Slot<Credit>],
         now: u64,
     ) {
-        debug_assert_eq!(flit_wires.len(), self.ports as usize);
-        debug_assert_eq!(credit_wires.len(), self.ports as usize);
+        debug_assert_eq!(flit_slots.len(), self.ports as usize * self.period);
+        debug_assert_eq!(credit_slots.len(), self.ports as usize * self.period);
         self.sent_flit_mask = 0;
         self.sent_credit_mask = 0;
         if self.staged == 0 {
             return;
         }
+        let slot = (now % self.period as u64) as usize;
         for p in 0..self.ports as usize {
             let mut flit = self.out_staging[p].take();
             let mut credit = self.credit_staging[p].take();
@@ -621,27 +631,39 @@ impl Router {
                     self.fault_events.flits_dropped_flaky += 1;
                 }
             }
-            if flit.is_some() {
-                flit_wires[p].write(now, flit);
+            if let Some(flit) = flit {
+                flit_slots[p * self.period + slot] = Slot::new(now, flit);
                 self.sent_flit_mask |= 1 << p;
             }
-            if credit.is_some() {
-                credit_wires[p].write(now, credit);
+            if let Some(credit) = credit {
+                credit_slots[p * self.period + slot] = Slot::new(now, credit);
                 self.sent_credit_mask |= 1 << p;
             }
         }
     }
 
-    /// Pulls credits sent upstream by downstream routers.
-    fn receive_credits(&mut self, topo: &TopologyMap, wires: &Wires, now: u64) {
-        for port in self.locals..self.ports {
+    /// Reads the wires `arrivals` marks, credits first, each kind in
+    /// ascending port order: credits returned by downstream routers (bit
+    /// `32 + out_port`), then flits from upstream routers (bit `in_port`).
+    fn receive(&mut self, topo: &TopologyMap, wires: &Wires, arrivals: u64, now: u64) {
+        // A mark lands `link_latency` cycles after its send, so `now >= L`.
+        let sent = now - (self.period as u64 - 1);
+        let slot = (sent % self.period as u64) as usize;
+        let mut credits = (arrivals >> 32) as u32;
+        while credits != 0 {
+            let port = credits.trailing_zeros();
+            credits &= credits - 1;
             if self.link_dead(port, now) {
                 continue; // dead channels return no credits
             }
-            let Some((dst_router, dst_in_port)) = topo.link_dst(self.id, port) else {
-                continue;
-            };
-            let Some(vc) = wires.credits[wires.index(dst_router, dst_in_port)].read(now) else {
+            let wire = topo
+                .link_dst(self.id, port)
+                .map(|(dst, in_port)| wires.index(dst, in_port));
+            let Some(vc) = wire.and_then(|w| wires.credit(w, slot, sent)) else {
+                self.poison(format!(
+                    "router {} port {port}: marked credit wire carries nothing sent at {sent}",
+                    self.id
+                ));
                 continue;
             };
             let idx = self.ivc_index(port, u32::from(vc));
@@ -654,15 +676,18 @@ impl Router {
             }
             self.ovc_credits[idx] += 1;
         }
-    }
-
-    /// Pulls flits sent by upstream routers into input buffers.
-    fn receive_flits(&mut self, topo: &TopologyMap, wires: &Wires, now: u64) {
-        for port in self.locals..self.ports {
-            let Some((src_router, src_out_port)) = topo.link_src(self.id, port) else {
-                continue;
-            };
-            let Some(flit) = wires.flits[wires.index(src_router, src_out_port)].read(now) else {
+        let mut flits = arrivals as u32;
+        while flits != 0 {
+            let port = flits.trailing_zeros();
+            flits &= flits - 1;
+            let wire = topo
+                .link_src(self.id, port)
+                .map(|(src, out_port)| wires.index(src, out_port));
+            let Some(flit) = wire.and_then(|w| wires.flit(w, slot, sent)) else {
+                self.poison(format!(
+                    "router {} port {port}: marked flit wire carries nothing sent at {sent}",
+                    self.id
+                ));
                 continue;
             };
             if self.link_dead(port, now) {
@@ -1058,9 +1083,9 @@ mod tests {
         );
         assert_eq!(r.ni_backlog(), 1);
         assert!(r.has_work(), "queued packet counts as work");
-        r.phase_compute(&topo, &wires, 0);
+        r.phase_compute(&topo, &wires, 0, 0);
         assert_eq!(r.buffered_flits(), 1);
-        r.phase_compute(&topo, &wires, 1);
+        r.phase_compute(&topo, &wires, 0, 1);
         // Cycle 1: NI injects body; head may also have moved to the switch,
         // so the buffer holds at most 2 flits and at least 1.
         assert!(r.buffered_flits() >= 1);
@@ -1086,7 +1111,7 @@ mod tests {
         );
         let mut delivered_at = None;
         for now in 0..10 {
-            r.phase_compute(&topo, &wires, now);
+            r.phase_compute(&topo, &wires, 0, now);
             if let Some(&(pkt, at)) = r.delivered.first() {
                 assert_eq!(pkt, 7);
                 delivered_at = Some(at);
@@ -1112,7 +1137,7 @@ mod tests {
             },
         );
         for now in 0..10 {
-            r.phase_compute(&topo, &wires, now);
+            r.phase_compute(&topo, &wires, 0, now);
         }
         assert!(!r.delivered.is_empty());
         assert!(!r.has_work(), "delivered router must be gate-able");
@@ -1136,16 +1161,16 @@ mod tests {
         };
         // Ungated: step every cycle 0..20, inject at 12.
         for now in 0..12 {
-            free.phase_compute(&topo, &wires, now);
+            free.phase_compute(&topo, &wires, 0, now);
         }
         free.enqueue_packet(0, 0, pkt);
         for now in 12..24 {
-            free.phase_compute(&topo, &wires, now);
+            free.phase_compute(&topo, &wires, 0, now);
         }
         // Gated: skip the idle prefix entirely.
         gated.enqueue_packet(0, 0, pkt);
         for now in 12..24 {
-            gated.phase_compute(&topo, &wires, now);
+            gated.phase_compute(&topo, &wires, 0, now);
         }
         assert_eq!(free.delivered, gated.delivered, "gating must not shift timing");
     }
@@ -1188,12 +1213,12 @@ mod tests {
             },
         );
         for now in 0..5 {
-            r.phase_compute(&topo, &wires, now);
+            r.phase_compute(&topo, &wires, 0, now);
         }
         assert_eq!(r.buffered_flits(), 0, "stalled router injects nothing");
         assert_eq!(r.take_fault_events().stall_cycles, 5);
         for now in 5..15 {
-            r.phase_compute(&topo, &wires, now);
+            r.phase_compute(&topo, &wires, 0, now);
         }
         assert!(!r.delivered.is_empty(), "delivers once the stall lifts");
     }
@@ -1214,7 +1239,7 @@ mod tests {
         );
         let mut delivered_at = None;
         for now in 0..20 {
-            r.phase_compute(&topo, &wires, now);
+            r.phase_compute(&topo, &wires, 0, now);
             if let Some(&(_, at)) = r.delivered.first() {
                 delivered_at = Some(at);
                 break;

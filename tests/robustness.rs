@@ -424,6 +424,34 @@ fn corrupted_occupancy_mask_is_caught_by_the_audit() {
     assert!(matches!(err, SimError::Invariant(_)), "got {err:?}");
 }
 
+/// An arrival mark that no live router took is caught by the audit at once,
+/// and running on surfaces it as an error, never a panic: the router the
+/// mark later wakes finds no flit stamped for it and poisons itself.
+#[test]
+fn stray_arrival_mark_is_caught_by_the_audit() {
+    use reciprocal_abstraction::sim::{MessageClass, NetMessage, NodeId};
+    let mut net = NocNetwork::new(NocConfig::new(4, 4)).unwrap();
+    for i in 0..10 {
+        net.inject(
+            NetMessage::new(i, NodeId(0), NodeId(15), MessageClass::Response, 72),
+            Cycle(0),
+        );
+    }
+    net.tick(Cycle(5));
+    net.audit().unwrap();
+    // Router 12 (column 0, row 3) is off the XY path from 0 to 15; input
+    // port 3 is its south link, fed by router 8, which carries nothing.
+    net.debug_stray_arrival(12, 3);
+    match net.audit() {
+        Err(SimError::Invariant(msg)) => assert!(msg.contains("arrival"), "{msg}"),
+        other => panic!("the audit must catch a stray arrival mark: {other:?}"),
+    }
+    match net.run_until_drained(10_000) {
+        Err(SimError::Invariant(msg)) => assert!(msg.contains("marked flit wire"), "{msg}"),
+        other => panic!("the marked router must poison itself: {other:?}"),
+    }
+}
+
 /// Acceptance: a watchdog trip mid-run leaves the coupler usable — the
 /// degraded coupler keeps serving the full system and retires everything.
 #[test]
