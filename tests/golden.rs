@@ -10,12 +10,23 @@
 //! flaky link (route compute's orphan-discard branch), two-cycle links
 //! (multi-slot wire rings), and a chiplet.
 //!
+//! The full-system cases pin every `FullSysStats` counter of the tiles
+//! themselves — instructions, loads, stores, L1/L2 hits and misses, stale
+//! forwards, and the miss-latency count and mean bits — over an abstract
+//! network, a one-entry store buffer (the stalled-core and parked-buffer
+//! paths), a lockstep run over the cycle-level NoC, and a speculative
+//! pipelined run that rolls back, so a snapshot is restored mid-run.
+//!
 //! The values were recorded before the router's scans became bitmask
-//! walks, and the two-cycle-link pin before links became push-based.
+//! walks, the two-cycle-link pin before links became push-based, and the
+//! full-system pins before tiles were stepped only when they can act.
 //! Editing one is a simulated-behaviour change, not a test fix.
 
-use reciprocal_abstraction::cosim::{InterposerClass, ReciprocalNetwork, Target};
-use reciprocal_abstraction::fullsys::FullSystem;
+use reciprocal_abstraction::cosim::{
+    InterposerClass, ModeSpec, ReciprocalNetwork, RunSpec, Target,
+};
+use reciprocal_abstraction::fullsys::{FullSysConfig, FullSystem};
+use reciprocal_abstraction::netmodel::{AbstractNetwork, HopLatency, HopMetric};
 use reciprocal_abstraction::noc::{
     FaultPlan, InjectionProcess, NocConfig, NocNetwork, NocStats, Router, Routing, TopologyKind,
     TrafficGen, TrafficPattern,
@@ -244,5 +255,155 @@ fn chiplet_two_islands() {
             sa_grants: 41404,
             buffer_writes: 41431
         }
+    );
+}
+
+/// Every `FullSysStats` field of a full-system run, tile counters included.
+#[derive(Debug, PartialEq, Eq)]
+struct FullSysGolden {
+    cycles: u64,
+    messages_by_class: [u64; MessageClass::COUNT],
+    instructions: u64,
+    loads: u64,
+    stores: u64,
+    l1_hits: u64,
+    l1_misses: u64,
+    l2_hits: u64,
+    l2_misses: u64,
+    stale_forwards: u64,
+    miss_count: u64,
+    miss_mean_bits: u64,
+}
+
+/// Runs `app` on a full system over `net` until every core retires
+/// `per_core` instructions.
+fn fullsys_case<N: Network>(
+    cfg: FullSysConfig,
+    net: N,
+    app: AppProfile,
+    per_core: u64,
+) -> FullSysGolden {
+    let workload = AppWorkload::new(app, cfg.tiles(), 5);
+    let mut sys = FullSystem::new(cfg, net, workload).unwrap();
+    sys.run_until_instructions(per_core, 2_000_000).unwrap();
+    let s = sys.stats();
+    let t = &s.tiles;
+    FullSysGolden {
+        cycles: s.cycles,
+        messages_by_class: s.messages_by_class,
+        instructions: t.instructions,
+        loads: t.loads,
+        stores: t.stores,
+        l1_hits: t.l1_hits,
+        l1_misses: t.l1_misses,
+        l2_hits: t.l2_hits,
+        l2_misses: t.l2_misses,
+        stale_forwards: t.stale_forwards,
+        miss_count: t.miss_latency.count(),
+        miss_mean_bits: t.miss_latency.mean().to_bits(),
+    }
+}
+
+fn hop_net(cfg: &FullSysConfig) -> AbstractNetwork<HopLatency> {
+    AbstractNetwork::new(HopLatency::default(), HopMetric::Mesh(cfg.shape), 16)
+}
+
+#[test]
+fn fullsys_ocean_over_hop_latency() {
+    let cfg = Target::cmp(4, 4).fullsys;
+    let got = fullsys_case(cfg.clone(), hop_net(&cfg), AppProfile::ocean(), 400);
+    assert_eq!(
+        got,
+        FullSysGolden {
+            cycles: 14395,
+            messages_by_class: [5311, 5337, 402],
+            instructions: 8909,
+            loads: 1933,
+            stores: 811,
+            l1_hits: 36,
+            l1_misses: 2689,
+            l2_hits: 2,
+            l2_misses: 2610,
+            stale_forwards: 1,
+            miss_count: 2666,
+            miss_mean_bits: 4637944461090182222,
+        }
+    );
+}
+
+#[test]
+fn fullsys_one_entry_store_buffer() {
+    // A store that finds the buffer full stalls the core, and the buffer's
+    // head waits on its own GetX.
+    let mut cfg = Target::cmp(4, 4).fullsys;
+    cfg.store_buffer = 1;
+    let got = fullsys_case(cfg.clone(), hop_net(&cfg), AppProfile::water(), 400);
+    assert_eq!(
+        got,
+        FullSysGolden {
+            cycles: 4095,
+            messages_by_class: [1133, 1101, 0],
+            instructions: 14307,
+            loads: 410,
+            stores: 170,
+            l1_hits: 8,
+            l1_misses: 568,
+            l2_hits: 0,
+            l2_misses: 549,
+            stale_forwards: 0,
+            miss_count: 548,
+            miss_mean_bits: 4638086111224786256,
+        }
+    );
+}
+
+#[test]
+fn fullsys_lockstep_over_the_noc() {
+    let target = Target::cmp(4, 4);
+    let net = NocNetwork::new(target.noc.clone()).unwrap();
+    let got = fullsys_case(target.fullsys, net, AppProfile::ocean(), 200);
+    assert_eq!(
+        got,
+        FullSysGolden {
+            cycles: 7385,
+            messages_by_class: [2635, 2626, 46],
+            instructions: 4790,
+            loads: 952,
+            stores: 387,
+            l1_hits: 6,
+            l1_misses: 1329,
+            l2_hits: 1,
+            l2_misses: 1294,
+            stale_forwards: 1,
+            miss_count: 1310,
+            miss_mean_bits: 4638219224877058726,
+        }
+    );
+}
+
+#[test]
+fn fullsys_pipelined_run_that_rolls_back() {
+    let target = Target::cmp(4, 4);
+    let mode: ModeSpec = "reciprocal:quantum=300,pipeline=on".parse().unwrap();
+    let r = RunSpec::new(&target, &AppProfile::ocean())
+        .mode(mode)
+        .instructions(300)
+        .budget(2_000_000)
+        .seed(5)
+        .run()
+        .unwrap();
+    let c = r.coupler.as_ref().expect("reciprocal run");
+    assert!(
+        c.spec_rollbacks > 0,
+        "the run must restore a snapshot: {c:?}"
+    );
+    assert_eq!(
+        (
+            r.cycles,
+            r.messages,
+            r.ipc.to_bits(),
+            r.latency.mean().to_bits()
+        ),
+        (11562, 8203, 4603576267152361635, 4623785216693963278)
     );
 }
