@@ -106,6 +106,11 @@ pub struct FullSystem<N, W> {
     next_msg_id: u64,
     out: Vec<OutMsg>,
     stats: FullSysStats,
+    /// Per tile, the next cycle in which it can act (see the `tile`
+    /// module); [`FullSystem::step`] skips the tile until then.
+    wake: Vec<u64>,
+    /// Instructions retired by all tiles, kept up to date as they retire.
+    retired: u64,
     /// External stop request, polled by the run-loop watchdog (see
     /// [`FullSystem::set_halt_flag`]). `None` costs nothing.
     halt: Option<Arc<AtomicBool>>,
@@ -121,6 +126,8 @@ impl<N: Network, W: Workload> FullSystem<N, W> {
         cfg.validate()?;
         let tiles = (0..cfg.tiles() as u16).map(|id| Tile::new(id, &cfg)).collect();
         Ok(FullSystem {
+            wake: vec![0; cfg.tiles()],
+            retired: 0,
             cfg,
             tiles,
             net,
@@ -180,9 +187,9 @@ impl<N: Network, W: Workload> FullSystem<N, W> {
         stats
     }
 
-    /// Total instructions retired so far.
+    /// Total instructions retired so far (a running total: O(1)).
     pub fn instructions(&self) -> u64 {
-        self.tiles.iter().map(|t| t.stats.instructions).sum()
+        self.retired
     }
 
     /// Per-core retired instruction counts.
@@ -195,7 +202,11 @@ impl<N: Network, W: Workload> FullSystem<N, W> {
         self.net.in_flight()
     }
 
-    /// Executes one cycle.
+    /// Executes one cycle. A tile is stepped only from its next wake on (see
+    /// the `tile` module): before that, stepping it would change nothing. A
+    /// delivery pulls the wake forward to when the message is processable.
+    /// Ready cores always step, so tile order and workload calls are as if
+    /// every tile were visited every cycle.
     pub fn step(&mut self) {
         let now = self.now;
         // Deliver messages the network completed.
@@ -205,9 +216,11 @@ impl<N: Network, W: Workload> FullSystem<N, W> {
                 .remove(&d.msg.id)
                 .expect("delivery without payload");
             let src = d.msg.src.0 as u16;
-            self.tiles[d.msg.dst.index()].deliver(proto, src, now);
+            let dst = d.msg.dst.index();
+            let due = self.tiles[dst].deliver(proto, src, now);
+            self.wake[dst] = self.wake[dst].min(due);
         }
-        // Advance every tile; collect outgoing messages.
+        // Advance every tile that can act; collect outgoing messages.
         let tiles = &mut self.tiles;
         let workload = &mut self.workload;
         let out = &mut self.out;
@@ -216,8 +229,15 @@ impl<N: Network, W: Workload> FullSystem<N, W> {
         let stats = &mut self.stats;
         let cfg = &self.cfg;
         let next_msg_id = &mut self.next_msg_id;
-        for tile in tiles.iter_mut() {
+        let retired = &mut self.retired;
+        for (tile, wake) in tiles.iter_mut().zip(self.wake.iter_mut()) {
+            if *wake > now {
+                continue;
+            }
+            let before = tile.stats.instructions;
             tile.cycle(now, workload, out);
+            *retired += tile.stats.instructions - before;
+            *wake = tile.next_wake(now + 1);
             let src = NodeId(u32::from(tile.id()));
             for (dst, proto) in out.drain(..) {
                 let class = proto.kind.class();
@@ -292,12 +312,18 @@ impl<N: Network, W: Workload> FullSystem<N, W> {
         until: u64,
         progress: &mut RunProgress,
     ) -> Result<SliceEnd, SimError> {
+        // Per-core counts only grow, so the goal can only become met in a
+        // cycle that moved the total.
+        let mut checked = None;
         loop {
             if self.now >= until {
                 return Ok(SliceEnd::Paused);
             }
-            if self.tiles.iter().all(|t| t.stats.instructions >= per_core) {
-                return Ok(SliceEnd::Done(self.now - progress.start_cycle));
+            if checked != Some(self.retired) {
+                checked = Some(self.retired);
+                if self.tiles.iter().all(|t| t.stats.instructions >= per_core) {
+                    return Ok(SliceEnd::Done(self.now - progress.start_cycle));
+                }
             }
             if self.now - progress.start_cycle > budget {
                 return Err(SimError::Timeout {
@@ -327,6 +353,33 @@ impl<N: Network, W: Workload> FullSystem<N, W> {
         }
     }
 
+    /// Audits the clock gating: every tile's cached wake is no later than
+    /// its state demands, a parked store buffer's head has its miss
+    /// outstanding, and the running instruction total is the per-tile sum.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Invariant`] naming the first violated invariant.
+    pub fn audit(&self) -> Result<(), SimError> {
+        let sum: u64 = self.tiles.iter().map(|t| t.stats.instructions).sum();
+        if sum != self.retired {
+            let msg = format!("instruction total {} != per-tile sum {sum}", self.retired);
+            return Err(SimError::Invariant(msg));
+        }
+        for (tile, &wake) in self.tiles.iter().zip(&self.wake) {
+            tile.audit(wake, self.now)
+                .map_err(|msg| SimError::Invariant(format!("tile {}: {msg}", tile.id())))?;
+        }
+        Ok(())
+    }
+
+    /// Test hook: puts `tile` to sleep for good, whatever it has pending,
+    /// so the next audit fails if the tile could still act.
+    #[doc(hidden)]
+    pub fn debug_oversleep(&mut self, tile: usize) {
+        self.wake[tile] = u64::MAX;
+    }
+
     /// Decomposes the system, returning the network (e.g. to read final
     /// statistics from a cycle-level NoC).
     pub fn into_network(self) -> N {
@@ -351,7 +404,8 @@ impl<N: Network, W: Workload + Clone> FullSystem<N, W> {
     }
 
     /// Rewinds to `snap`. The network and halt flag are untouched — the
-    /// caller restores the network to the matching cycle itself.
+    /// caller restores the network to the matching cycle itself. Every
+    /// tile wakes in the next step: stepping an idle tile is a no-op.
     pub fn restore(&mut self, snap: &FullSysSnapshot<W>) {
         self.tiles.clone_from(&snap.tiles);
         self.workload = snap.workload.clone();
@@ -360,6 +414,8 @@ impl<N: Network, W: Workload + Clone> FullSystem<N, W> {
         self.next_msg_id = snap.next_msg_id;
         self.stats = snap.stats.clone();
         self.out.clear();
+        self.wake.fill(0);
+        self.retired = self.tiles.iter().map(|t| t.stats.instructions).sum();
     }
 }
 
@@ -374,13 +430,49 @@ mod tests {
         AbstractNetwork::new(HopLatency::default(), HopMetric::Mesh(cfg.shape), 16)
     }
 
+    /// Runs `sys` one cycle per [`FullSystem::run_slice`] call (check for
+    /// check the same as one run) and audits the gating after every step.
+    /// Stops when every core has retired `per_core` instructions, returning
+    /// the cycles taken, or after `cycles` cycles, returning `None`.
+    fn run_audited<N: Network, W: Workload>(
+        sys: &mut FullSystem<N, W>,
+        per_core: u64,
+        budget: u64,
+        cycles: u64,
+    ) -> Result<Option<u64>, SimError> {
+        let mut progress = sys.begin_run();
+        let end = sys.now().saturating_add(cycles);
+        while sys.now() < end {
+            let until = sys.now() + 1;
+            if let SliceEnd::Done(c) = sys.run_slice(per_core, budget, until, &mut progress)? {
+                return Ok(Some(c));
+            }
+            sys.audit()?;
+        }
+        Ok(None)
+    }
+
+    /// [`FullSystem::run_until_instructions`], audited.
+    fn run_until<N: Network, W: Workload>(
+        sys: &mut FullSystem<N, W>,
+        per_core: u64,
+        budget: u64,
+    ) -> Result<u64, SimError> {
+        run_audited(sys, per_core, budget, u64::MAX).map(|c| c.expect("runs to the goal"))
+    }
+
+    /// [`FullSystem::run_cycles`], audited.
+    fn run_for<N: Network, W: Workload>(sys: &mut FullSystem<N, W>, cycles: u64) {
+        run_audited(sys, u64::MAX, u64::MAX, cycles).unwrap();
+    }
+
     #[test]
     fn cores_make_progress_on_abstract_network() {
         let cfg = FullSysConfig::new(4, 4);
         let net = hop_net(&cfg);
         let w = SyntheticWorkload::new(cfg.tiles(), SyntheticParams::default(), 1);
         let mut sys = FullSystem::new(cfg, net, w).unwrap();
-        let cycles = sys.run_until_instructions(200, 200_000).unwrap();
+        let cycles = run_until(&mut sys, 200, 200_000).unwrap();
         assert!(cycles > 0);
         let stats = sys.stats();
         assert!(stats.tiles.instructions >= 200 * 16);
@@ -396,7 +488,7 @@ mod tests {
         let mut sys = FullSystem::new(cfg, net, w).unwrap();
         let halt = Arc::new(AtomicBool::new(true));
         sys.set_halt_flag(halt);
-        match sys.run_until_instructions(1_000_000, 10_000_000) {
+        match run_until(&mut sys, 1_000_000, 10_000_000) {
             Err(SimError::Cancelled { at_cycle }) => {
                 assert!(at_cycle <= HALT_POLL_MASK + 1, "must stop at first poll");
             }
@@ -415,7 +507,7 @@ mod tests {
             if armed {
                 sys.set_halt_flag(Arc::new(AtomicBool::new(false)));
             }
-            sys.run_until_instructions(100, 200_000).unwrap()
+            run_until(&mut sys, 100, 200_000).unwrap()
         };
         assert_eq!(run(false), run(true), "an unset flag must not perturb");
     }
@@ -426,7 +518,7 @@ mod tests {
         let net = NocNetwork::new(NocConfig::new(4, 4)).unwrap();
         let w = SyntheticWorkload::new(cfg.tiles(), SyntheticParams::default(), 1);
         let mut sys = FullSystem::new(cfg, net, w).unwrap();
-        let cycles = sys.run_until_instructions(100, 400_000).unwrap();
+        let cycles = run_until(&mut sys, 100, 400_000).unwrap();
         assert!(cycles > 0);
         let noc = sys.into_network();
         assert!(noc.stats().delivered > 0);
@@ -449,7 +541,7 @@ mod tests {
             );
             let w = SyntheticWorkload::new(cfg.tiles(), SyntheticParams::default(), 1);
             let mut sys = FullSystem::new(cfg, net, w).unwrap();
-            sys.run_until_instructions(200, 1_000_000).unwrap()
+            run_until(&mut sys, 200, 1_000_000).unwrap()
         }
         let fast = runtime(5);
         let slow = runtime(50);
@@ -467,7 +559,7 @@ mod tests {
         scripts[1] = vec![Op::Load(0)];
         let w = ScriptedWorkload::new(scripts);
         let mut sys = FullSystem::new(cfg, net, w).unwrap();
-        sys.run_cycles(500);
+        run_for(&mut sys, 500);
         let stats = sys.stats();
         assert_eq!(stats.tiles.loads, 1);
         assert_eq!(stats.tiles.l1_misses, 1);
@@ -486,7 +578,7 @@ mod tests {
             .collect();
         let w = ScriptedWorkload::new(scripts);
         let mut sys = FullSystem::new(cfg, net, w).unwrap();
-        sys.run_cycles(3_000);
+        run_for(&mut sys, 3_000);
         let stats = sys.stats();
         assert!(
             stats.messages_by_class[ra_sim::MessageClass::Coherence.vnet()] > 0,
@@ -501,7 +593,7 @@ mod tests {
             let net = hop_net(&cfg);
             let w = SyntheticWorkload::new(cfg.tiles(), SyntheticParams::default(), 9);
             let mut sys = FullSystem::new(cfg, net, w).unwrap();
-            sys.run_cycles(5_000);
+            run_for(&mut sys, 5_000);
             let s = sys.stats();
             (s.tiles.instructions, s.total_messages())
         }
@@ -514,16 +606,17 @@ mod tests {
         let net = hop_net(&cfg);
         let w = SyntheticWorkload::new(cfg.tiles(), SyntheticParams::default(), 7);
         let mut sys = FullSystem::new(cfg, net, w).unwrap();
-        sys.run_cycles(1_000);
+        run_for(&mut sys, 1_000);
         let snap = sys.snapshot();
         let net_snap = sys.network().clone();
-        sys.run_cycles(2_000);
+        run_for(&mut sys, 2_000);
         let s = sys.stats();
         let first = (sys.now(), sys.instructions(), s.total_messages(), s.cycles);
         sys.restore(&snap);
         *sys.network_mut() = net_snap;
+        sys.audit().unwrap();
         assert_eq!(sys.now(), snap.at_cycle());
-        sys.run_cycles(2_000);
+        run_for(&mut sys, 2_000);
         let s = sys.stats();
         let second = (sys.now(), sys.instructions(), s.total_messages(), s.cycles);
         assert_eq!(first, second, "restored run must replay bit-exactly");
@@ -547,6 +640,7 @@ mod tests {
             match sliced.run_slice(300, 400_000, until, &mut progress).unwrap() {
                 SliceEnd::Done(c) => break c,
                 SliceEnd::Paused => {
+                    sliced.audit().unwrap();
                     assert_eq!(sliced.now(), until);
                     pauses += 1;
                 }
@@ -567,7 +661,52 @@ mod tests {
         let net = hop_net(&cfg);
         let w = SyntheticWorkload::new(cfg.tiles(), SyntheticParams::default(), 1);
         let mut sys = FullSystem::new(cfg, net, w).unwrap();
-        let err = sys.run_until_instructions(u64::MAX, 100).unwrap_err();
+        let err = run_until(&mut sys, u64::MAX, 100).unwrap_err();
         assert!(matches!(err, SimError::Timeout { .. }));
+    }
+
+    #[test]
+    fn a_slice_that_starts_with_the_goal_met_is_done_at_once() {
+        let cfg = FullSysConfig::new(4, 4);
+        let net = hop_net(&cfg);
+        let w = SyntheticWorkload::new(cfg.tiles(), SyntheticParams::default(), 1);
+        let mut sys = FullSystem::new(cfg, net, w).unwrap();
+        run_until(&mut sys, 100, 200_000).unwrap();
+        let now = sys.now();
+        let mut progress = sys.begin_run();
+        let end = sys.run_slice(100, 200_000, now + 50, &mut progress).unwrap();
+        assert_eq!(end, SliceEnd::Done(0));
+        assert_eq!(sys.now(), now, "a met goal must not step");
+    }
+
+    /// Stepping only the tiles that can act is exact: waking every tile
+    /// before every step ends the run bit for bit the same. A one-entry
+    /// store buffer drives the parked-buffer and stalled-store paths, an
+    /// eight-entry one drains several stores back to back.
+    #[test]
+    fn gated_steps_match_stepping_every_tile() {
+        let run = |store_buffer: u32, gated: bool| {
+            let mut cfg = FullSysConfig::new(4, 4);
+            cfg.store_buffer = store_buffer;
+            let net = hop_net(&cfg);
+            let w = SyntheticWorkload::new(cfg.tiles(), SyntheticParams::default(), 5);
+            let mut sys = FullSystem::new(cfg, net, w).unwrap();
+            let mut skipped = 0;
+            for _ in 0..4_000 {
+                if !gated {
+                    sys.wake.fill(0);
+                }
+                skipped += sys.wake.iter().filter(|&&at| at > sys.now).count();
+                sys.step();
+                sys.audit().unwrap();
+            }
+            (format!("{:?}", sys.stats()), sys.instructions_per_core(), skipped)
+        };
+        for store_buffer in [1, 8] {
+            let (gated, every) = (run(store_buffer, true), run(store_buffer, false));
+            assert!(gated.2 > 0, "gating must skip some tile steps");
+            assert_eq!(every.2, 0);
+            assert_eq!((gated.0, gated.1), (every.0, every.1), "store buffer {store_buffer}");
+        }
     }
 }

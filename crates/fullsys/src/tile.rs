@@ -6,6 +6,13 @@
 //! driven — each tile owns a small min-heap of future events — which is what
 //! makes the full system "detailed but coarse-grain" relative to the
 //! cycle-level NoC.
+//!
+//! Tiles are clock-gated. [`Tile::next_wake`] names the next cycle in which
+//! [`Tile::cycle`] could change anything, and the cycles before it are
+//! skipped exactly. A store buffer whose head waits on its own GetX is
+//! *parked* (`sb_blocked`): until an event — data arriving, or the line's
+//! L1 state changing — draining it would only find the same miss in the
+//! MSHR again, so the latch holds until the next event.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
@@ -122,6 +129,9 @@ pub(crate) struct Tile {
     core: CoreState,
     // Store buffer of pending store addresses.
     sb: VecDeque<u64>,
+    // The head store waits on its own transaction, which is in the MSHR;
+    // cleared on every event.
+    sb_blocked: bool,
     // L1.
     l1: CacheArray,
     mshr: HashMap<u64, Mshr>,
@@ -152,6 +162,7 @@ impl Tile {
             rng: Pcg32::new(cfg.seed, u64::from(id) * 2 + 1),
             core: CoreState::Ready,
             sb: VecDeque::new(),
+            sb_blocked: false,
             l1: CacheArray::new(cfg.l1_sets, cfg.l1_ways),
             mshr: HashMap::new(),
             wb_buf: HashSet::new(),
@@ -189,8 +200,8 @@ impl Tile {
     }
 
     /// Accepts a delivered protocol message; it becomes processable after
-    /// the local pipeline latency.
-    pub(crate) fn deliver(&mut self, msg: ProtoMsg, src: u16, now: u64) {
+    /// the local pipeline latency, in the cycle this returns.
+    pub(crate) fn deliver(&mut self, msg: ProtoMsg, src: u16, now: u64) -> u64 {
         let delay = match msg.kind {
             ProtoKind::GetS
             | ProtoKind::GetX
@@ -203,6 +214,36 @@ impl Tile {
         };
         self.events
             .push(Reverse((now + delay, TileEvent::Proto(msg, src))));
+        now + delay
+    }
+
+    /// The first cycle from `next` on in which [`Tile::cycle`] could act:
+    /// `next` if the core is ready, the store buffer can drain, or a stalled
+    /// store has room; else the earliest event (`u64::MAX` if none).
+    pub(crate) fn next_wake(&self, next: u64) -> u64 {
+        let busy = self.core == CoreState::Ready
+            || (!self.sb.is_empty() && !self.sb_blocked)
+            || (matches!(self.core, CoreState::WaitSb(_)) && self.sb.len() < self.sb_cap);
+        if busy {
+            next
+        } else {
+            self.events.peek().map_or(u64::MAX, |Reverse((at, _))| *at)
+        }
+    }
+
+    /// Checks the gating: `wake`, this tile's cached wake, is no later than
+    /// its state demands at `now`, and a parked buffer's head line is in the
+    /// MSHR.
+    pub(crate) fn audit(&self, wake: u64, now: u64) -> Result<(), String> {
+        let due = self.next_wake(now);
+        let head = self.sb.front().map(|&addr| self.line_of(addr));
+        if wake > due {
+            Err(format!("sleeps until cycle {wake} but can act at {due}"))
+        } else if self.sb_blocked && !head.is_some_and(|line| self.mshr.contains_key(&line)) {
+            Err(format!("store buffer parked, no miss outstanding for head line {head:?}"))
+        } else {
+            Ok(())
+        }
     }
 
     /// Advances this tile through cycle `now`.
@@ -276,48 +317,45 @@ impl Tile {
         }
     }
 
-    /// Ensures a miss transaction is outstanding for `line`.
-    fn request_line(&mut self, line: u64, getx: bool, now: u64, out: &mut Vec<OutMsg>) {
+    /// Ensures a miss transaction is outstanding for `line`; returns true
+    /// if this call started it.
+    fn request_line(&mut self, line: u64, getx: bool, now: u64, out: &mut Vec<OutMsg>) -> bool {
         if self.mshr.contains_key(&line) {
-            return; // piggyback on the outstanding transaction
+            return false; // piggyback on the outstanding transaction
         }
         self.mshr.insert(line, Mshr { start: now });
         let kind = if getx { ProtoKind::GetX } else { ProtoKind::GetS };
         out.push((self.home_of(line), ProtoMsg::new(kind, line, self.id)));
+        true
     }
 
     fn drain_store_buffer(&mut self, now: u64, out: &mut Vec<OutMsg>) {
+        if self.sb_blocked {
+            return;
+        }
         let Some(&addr) = self.sb.front() else {
             return;
         };
         let line = self.line_of(addr);
         match self.l1.peek(line) {
-            Some(LineState::Modified) => {
+            Some(state) if state.is_owned() => {
+                // E -> M is a silent upgrade: the whole point of the E state.
+                self.l1.set_state(line, LineState::Modified);
                 self.sb.pop_front();
                 self.l1.lookup(line); // touch LRU
             }
-            Some(LineState::Exclusive) => {
-                // Silent E -> M upgrade: the whole point of the E state.
-                self.l1.set_state(line, LineState::Modified);
-                self.sb.pop_front();
-                self.l1.lookup(line);
-            }
-            Some(LineState::Shared) => {
-                if !self.mshr.contains_key(&line) {
+            _ => {
+                // Shared or absent: fetch ownership, then park until an event.
+                if self.request_line(line, true, now, out) {
                     self.stats.l1_misses += 1;
                 }
-                self.request_line(line, true, now, out);
-            }
-            None => {
-                if !self.mshr.contains_key(&line) {
-                    self.stats.l1_misses += 1;
-                }
-                self.request_line(line, true, now, out);
+                self.sb_blocked = true;
             }
         }
     }
 
     fn handle_event(&mut self, event: TileEvent, now: u64, out: &mut Vec<OutMsg>) {
+        self.sb_blocked = false;
         match event {
             TileEvent::CoreReady { instructions } => {
                 self.stats.instructions += u64::from(instructions);
@@ -437,10 +475,7 @@ impl Tile {
 
     fn dir_start(&mut self, msg: ProtoMsg, src: u16, now: u64, out: &mut Vec<OutMsg>) {
         let line = msg.line;
-        let state = {
-            let entry = self.dir.entry(line).or_default();
-            entry.state.clone().unwrap_or(DirState::Invalid)
-        };
+        let state = self.dir.entry(line).or_default().state.clone().unwrap_or(DirState::Invalid);
         match (msg.kind, state) {
             (ProtoKind::Wb, DirState::Modified(owner)) if owner == src => {
                 let entry = self.dir.entry(line).or_default();
@@ -579,24 +614,12 @@ impl Tile {
             sharers.insert(txn.requester);
             DirState::Shared(sharers)
         };
-        {
-            let entry = self.dir.entry(line).or_default();
-            entry.state = Some(new_state);
-        }
+        self.dir.entry(line).or_default().state = Some(new_state);
         // Serve the queue: writebacks complete inline; the first read/write
         // request re-enters the state machine (and goes busy again).
-        loop {
-            let next = {
-                let entry = self.dir.entry(line).or_default();
-                entry.queue.pop_front()
-            };
-            let Some((msg, src)) = next else { break };
+        while let Some((msg, src)) = self.dir.entry(line).or_default().queue.pop_front() {
             self.dir_start(msg, src, now, out);
-            let busy = {
-                let entry = self.dir.entry(line).or_default();
-                entry.busy.is_some()
-            };
-            if busy {
+            if self.dir.entry(line).or_default().busy.is_some() {
                 break;
             }
         }
@@ -607,19 +630,22 @@ impl Tile {
 mod tests {
     use super::*;
     use crate::workload::ScriptedWorkload;
+    use std::ops::Range;
 
     fn cfg() -> FullSysConfig {
         FullSysConfig::new(2, 2)
     }
 
-    /// Runs tiles in isolation with an ideal zero-latency interconnect.
-    fn run_tiles(tiles: &mut [Tile], workload: &mut ScriptedWorkload, cycles: u64) {
+    /// Runs tiles in isolation with an ideal zero-latency interconnect,
+    /// checking each tile's store-buffer latch after every cycle.
+    fn run_tiles(tiles: &mut [Tile], workload: &mut ScriptedWorkload, cycles: Range<u64>) {
         let mut out = Vec::new();
-        for now in 0..cycles {
+        for now in cycles {
             let mut sends: Vec<(u16, u16, ProtoMsg)> = Vec::new();
             for tile in tiles.iter_mut() {
                 out.clear();
                 tile.cycle(now, workload, &mut out);
+                tile.audit(0, now + 1).unwrap();
                 for (dst, msg) in out.drain(..) {
                     sends.push((tile.id, dst, msg));
                 }
@@ -641,7 +667,7 @@ mod tests {
             vec![],
             vec![],
         ]);
-        run_tiles(&mut tiles, &mut w, 300);
+        run_tiles(&mut tiles, &mut w, 0..300);
         assert_eq!(tiles[1].stats.loads, 1);
         assert_eq!(tiles[1].stats.l1_misses, 1);
         assert_eq!(tiles[1].stats.miss_latency.count(), 1);
@@ -660,7 +686,7 @@ mod tests {
             vec![],
             vec![],
         ]);
-        run_tiles(&mut tiles, &mut w, 400);
+        run_tiles(&mut tiles, &mut w, 0..400);
         assert_eq!(tiles[0].stats.loads, 2);
         assert_eq!(tiles[0].stats.l1_hits, 1);
         assert_eq!(tiles[0].stats.l1_misses, 1);
@@ -676,7 +702,7 @@ mod tests {
             vec![],
             vec![],
         ]);
-        run_tiles(&mut tiles, &mut w, 400);
+        run_tiles(&mut tiles, &mut w, 0..400);
         assert_eq!(tiles[0].l1.peek(1), Some(LineState::Modified));
         assert!(tiles[0].sb.is_empty(), "store buffer must drain");
     }
@@ -692,7 +718,7 @@ mod tests {
             vec![Op::Load(0)],
             vec![Op::Compute(150), Op::Store(0)],
         ]);
-        run_tiles(&mut tiles, &mut w, 800);
+        run_tiles(&mut tiles, &mut w, 0..800);
         assert_eq!(tiles[2].l1.peek(0), None, "reader must be invalidated");
         assert_eq!(tiles[3].l1.peek(0), Some(LineState::Modified));
     }
@@ -707,7 +733,7 @@ mod tests {
             vec![Op::Compute(150), Op::Load(0)],
             vec![],
         ]);
-        run_tiles(&mut tiles, &mut w, 800);
+        run_tiles(&mut tiles, &mut w, 0..800);
         assert_eq!(tiles[1].l1.peek(0), Some(LineState::Shared), "writer downgraded");
         assert_eq!(tiles[2].l1.peek(0), Some(LineState::Shared), "reader has a copy");
         // No stale forwards: the owner still held the line.
@@ -726,7 +752,7 @@ mod tests {
             vec![],
             vec![],
         ]);
-        run_tiles(&mut tiles, &mut w, 1_000);
+        run_tiles(&mut tiles, &mut w, 0..1_000);
         assert_eq!(tiles[0].stats.stores, 2);
         assert!(tiles[0].sb.is_empty());
         assert_eq!(tiles[0].l1.peek(0), Some(LineState::Modified));
@@ -745,7 +771,7 @@ mod tests {
             vec![],
             vec![],
         ]);
-        run_tiles(&mut tiles, &mut w, 1_000);
+        run_tiles(&mut tiles, &mut w, 0..1_000);
         // Line 0 was dirty and evicted: the home (tile 0) must have absorbed
         // the writeback and hold the line in L2.
         assert!(tiles[0].wb_buf.is_empty(), "WbAck must clear the buffer");
@@ -765,7 +791,7 @@ mod tests {
             vec![],
             vec![],
         ]);
-        run_tiles(&mut tiles, &mut w, 1_000);
+        run_tiles(&mut tiles, &mut w, 0..1_000);
         assert_eq!(tiles[0].l1.peek(0), Some(LineState::Modified));
         // Exactly one miss transaction (the original load); the store hit E.
         assert_eq!(tiles[0].stats.l1_misses, 1);
@@ -782,11 +808,26 @@ mod tests {
             vec![Op::Store(192)],
             vec![],
         ]);
-        run_tiles(&mut tiles, &mut w, 2_000);
+        run_tiles(&mut tiles, &mut w, 0..2_000);
         for t in tiles.iter() {
             // Core keeps spinning on Compute(1) but protocol state drains;
             // events only hold the spinning core's next CoreReady.
             assert!(t.sb.is_empty() && t.mshr.is_empty() && t.wb_buf.is_empty());
         }
+    }
+
+    #[test]
+    fn a_store_miss_parks_the_buffer_until_its_data_arrives() {
+        let cfg = cfg();
+        let mut tiles: Vec<Tile> = (0..4).map(|i| Tile::new(i, &cfg)).collect();
+        let mut w = ScriptedWorkload::new(vec![vec![Op::Store(64)], vec![], vec![], vec![]]);
+        // Cycle 0 buffers the store; cycle 1 sends the GetX and parks.
+        run_tiles(&mut tiles, &mut w, 0..2);
+        assert!(tiles[0].sb_blocked, "the head store waits on its own GetX");
+        assert!(tiles[0].mshr.contains_key(&1));
+        run_tiles(&mut tiles, &mut w, 2..400);
+        assert!(!tiles[0].sb_blocked && tiles[0].sb.is_empty());
+        assert_eq!(tiles[0].stats.l1_misses, 1, "a parked buffer counts its miss once");
+        assert_eq!(tiles[0].l1.peek(1), Some(LineState::Modified));
     }
 }

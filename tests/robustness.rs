@@ -452,6 +452,30 @@ fn stray_arrival_mark_is_caught_by_the_audit() {
     }
 }
 
+/// A tile put to sleep while it still has work is caught by the full
+/// system's gating audit at once. Running on shows why: nothing else
+/// notices, and the tile silently stops retiring.
+#[test]
+fn oversleeping_tile_is_caught_by_the_audit() {
+    let net = NocNetwork::new(NocConfig::new(4, 4)).unwrap();
+    // Every core computes for 50 cycles, so every tile has an event pending.
+    let w = ScriptedWorkload::new(vec![vec![Op::Compute(50)]; 16]);
+    let mut sys = FullSystem::new(FullSysConfig::new(4, 4), net, w).unwrap();
+    for _ in 0..10 {
+        sys.step();
+        sys.audit().unwrap();
+    }
+    sys.debug_oversleep(3);
+    match sys.audit() {
+        Err(SimError::Invariant(msg)) => assert!(msg.contains("tile 3: sleeps"), "{msg}"),
+        other => panic!("the audit must catch an oversleeping tile: {other:?}"),
+    }
+    sys.run_cycles(100);
+    let retired = sys.instructions_per_core();
+    assert_eq!(retired[3], 0);
+    assert!(retired[2] >= 50);
+}
+
 /// Acceptance: a watchdog trip mid-run leaves the coupler usable — the
 /// degraded coupler keeps serving the full system and retires everything.
 #[test]
