@@ -1,27 +1,28 @@
 //! Data-parallel execution engine for the cycle-level NoC.
 //!
 //! The paper offloads its cycle-level network simulator to a GPU coprocessor:
-//! router state lives in device memory and every simulated cycle is a pair of
-//! bulk-synchronous data-parallel kernel launches. This crate reproduces that
+//! router state lives in device memory and every simulated cycle is a
+//! bulk-synchronous data-parallel kernel launch. This crate reproduces that
 //! execution structure on host threads (see DESIGN.md for the substitution
-//! argument): a persistent worker pool executes the *compute* phase of all
-//! live routers in parallel (reads of the shared wire state are immutable),
-//! hits a barrier, executes the *send* phase on disjoint per-router wire
-//! chunks, and proceeds straight into the next cycle of the batch — exactly a
+//! argument): a persistent worker pool steps all live routers of a cycle in
+//! parallel, each worker a contiguous router range, hits a barrier, and
+//! proceeds straight into the next cycle of the batch — exactly a
 //! multi-cycle kernel-launch/sync cadence.
 //!
-//! Because the phase contract of [`ra_noc::Router`] guarantees that compute
-//! only writes router-local state and send only writes router-owned wires,
-//! the parallel schedule produces **bit-identical results** to the serial
-//! engine (tested here and in the workspace integration tests).
+//! Because [`ra_noc::Router::step`] reads only the wire bank of cycle
+//! `c - L`, writes only router-local state and the router's own wires in
+//! the bank of cycle `c`, and marks only arrival slot `(c + L) % P`, the
+//! routers of one cycle cannot observe each other, and the parallel
+//! schedule produces **bit-identical results** to the serial engine (tested
+//! here and in the workspace integration tests).
 //!
 //! # Batched cycles and fused barriers
 //!
-//! Driving one cycle costs three full-pool rendezvous (start, compute→send,
-//! end). The engine therefore executes up to [`MAX_BATCH_CYCLES`] cycles per
-//! job: the coordinator crosses only the start and end barriers of a batch,
-//! and between cycles the workers synchronize among themselves on cheaper
-//! worker-only barriers — the end-of-cycle and start-of-next-cycle
+//! Driving one cycle costs two full-pool rendezvous (start, end). The
+//! engine therefore executes up to [`MAX_BATCH_CYCLES`] cycles per job: the
+//! coordinator crosses only the start and end barriers of a batch, and
+//! between cycles the workers synchronize among themselves on one cheaper
+//! worker-only barrier — the end-of-cycle and start-of-next-cycle
 //! rendezvous fuse into one. Injections coming due inside a batch are handed
 //! out up front ([`ra_noc::ReleasedInjection`]) and applied by the owning
 //! worker at the right cycle, and delivery events are cycle-stamped and
@@ -63,8 +64,8 @@ use std::thread::JoinHandle;
 use parking_lot::RwLock;
 use ra_obs::{Event, ObsSink};
 use ra_noc::{
-    Arrivals, Credit, EngineParts, Flit, NocNetwork, ReleasedInjection, Router, Slot, TopologyMap,
-    Wires, MAX_BATCH_CYCLES,
+    Arrivals, Credit, EngineParts, Flit, Links, NocNetwork, ReleasedInjection, Ring, Router, Slot,
+    TopologyMap, MAX_BATCH_CYCLES,
 };
 use ra_sim::SimError;
 
@@ -78,7 +79,7 @@ const LIVE_WEIGHT: u64 = 16;
 const SPIN_POLLS: u32 = 1024;
 
 /// The worker-only barrier inside a batch. Its parties are workers that
-/// each just finished a phase of similar size, so the last one is usually
+/// each just finished a cycle of similar size, so the last one is usually
 /// microseconds away: waiters poll before they park, and a crossing then
 /// costs no futex wake-up, which on a VM is an inter-processor interrupt
 /// whose latency follows the host's load. The batch's start and end
@@ -148,11 +149,10 @@ impl SpinBarrier {
 struct Job {
     routers: *mut Router,
     topo: *const TopologyMap,
-    wires: *const Wires,
-    flit_slots: *mut Slot<Flit>,
-    credit_slots: *mut Slot<Credit>,
-    /// Slots each router owns per bank: `ports * (link_latency + 1)`.
-    chunk: usize,
+    /// The wires' slot-major flit and credit arrays, and their bank layout.
+    flits: *mut Slot<Flit>,
+    credits: *mut Slot<Credit>,
+    ring: Option<Ring>,
     /// Per-router arrival words (atomics: any worker may mark any router).
     arrivals: *const Arrivals,
     /// First cycle of the batch.
@@ -173,10 +173,9 @@ impl Job {
         Job {
             routers: std::ptr::null_mut(),
             topo: std::ptr::null(),
-            wires: std::ptr::null(),
-            flit_slots: std::ptr::null_mut(),
-            credit_slots: std::ptr::null_mut(),
-            chunk: 0,
+            flits: std::ptr::null_mut(),
+            credits: std::ptr::null_mut(),
+            ring: None,
             arrivals: std::ptr::null(),
             t0: 0,
             cycles: 0,
@@ -191,16 +190,18 @@ impl Job {
 // SAFETY: the pointers are only dereferenced by workers between the start
 // and end barriers of a batch, while the owning &mut NocNetwork (and the
 // engine's bounds/releases buffers) are pinned on the coordinating thread
-// inside `run_batch`. Each worker mutates a disjoint router range and, in
-// send, those routers' disjoint slot chunks. The arrival words are only
-// touched through atomics: in cycle `c` a worker takes (loads and zeroes)
-// slot `c % P` of its own routers only, and the sends of `c` `fetch_or`
-// into slot `(c + L) % P` of any router, which differs for `L >= 1` and
-// which nobody reads or clears before cycle `c + L`, so the marks do not
-// need the `mid` barrier. Wire reads in compute use ring slot
-// `(c - L) % P`, never the `c % P` the sends of `c` write; what still needs
-// `mid` is only that compute reads them through a shared `&Wires` borrow.
-// topo, bounds, and releases are read-only.
+// inside `run_batch`. Each worker mutates a disjoint router range. In cycle
+// `c` the wire slots split by bank: every worker shares read bank
+// `(c - L) % P`, which nobody writes in `c`, and each writes only its own
+// router range of write bank `c % P`, disjoint from the other workers' and
+// distinct from the read bank for `L >= 1`. The write bank of `c + 1` is the
+// read bank of `c`, so the worker-only barrier between cycles is what keeps
+// a fast worker's writes from reaching a slow worker's reads. The arrival
+// words are only touched through atomics: in cycle `c` a worker takes
+// (loads and zeroes) slot `c % P` of its own routers only, and the sends of
+// `c` `fetch_or` into slot `(c + L) % P` of any router, which differs for
+// `L >= 1` and which nobody reads or clears before cycle `c + L`, at least
+// one barrier later. topo, bounds, and releases are read-only.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
@@ -209,12 +210,9 @@ struct SharedState {
     start: Barrier,
     /// Batch end rendezvous: all workers + the coordinator.
     end: Barrier,
-    /// Compute→send rendezvous within a cycle: workers only.
-    mid: SpinBarrier,
-    /// Send→next-compute rendezvous between batch cycles: workers only.
-    /// This is the fusion: the coordinator never joins it, so consecutive
-    /// cycles of a batch cost two worker-only barriers instead of a full
-    /// end + start pair.
+    /// Rendezvous between batch cycles: workers only. This is the fusion:
+    /// the coordinator never joins it, so consecutive cycles of a batch
+    /// cost one worker-only barrier instead of a full end + start pair.
     boundary: SpinBarrier,
     job: RwLock<Job>,
     /// Bit `c` set = some router moved a flit in the batch's `c`-th cycle
@@ -312,7 +310,6 @@ impl ParallelEngine {
         let shared = Arc::new(SharedState {
             start: Barrier::new(workers + 1),
             end: Barrier::new(workers + 1),
-            mid: SpinBarrier::new(workers),
             boundary: SpinBarrier::new(workers),
             job: RwLock::new(Job::empty()),
             active_bits: AtomicU64::new(0),
@@ -371,13 +368,13 @@ impl ParallelEngine {
         {
             let parts = net.begin_batch(cycles, &mut self.releases);
             compute_bounds(&parts, self.workers, &mut self.bounds);
+            let (flits, credits, ring) = parts.wires.raw_parts();
             let job = Job {
                 routers: parts.routers.as_mut_ptr(),
                 topo: parts.topo,
-                wires: parts.wires,
-                flit_slots: parts.wires.flits.as_mut_ptr(),
-                credit_slots: parts.wires.credits.as_mut_ptr(),
-                chunk: parts.wires.chunk(),
+                flits,
+                credits,
+                ring: Some(ring),
                 arrivals: parts.arrivals,
                 t0: parts.now,
                 cycles,
@@ -493,14 +490,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Compute phase of one batch cycle over `lo..hi`: apply the injections
-/// coming due, step every live router, and OR the cycle's activity bit.
+/// One batch cycle over `lo..hi`: apply the injections coming due, step
+/// every live router, and OR the cycle's activity bit.
 ///
 /// # Safety
 ///
-/// Must run between the batch's start and end barriers, with `lo..hi`
-/// disjoint from every other worker's range (see the `Job` safety comment).
-unsafe fn compute_cycle(
+/// Must run between the batch's start and end barriers, one barrier after
+/// the previous cycle, with `lo..hi` disjoint from every other worker's
+/// range (see the `Job` safety comment).
+unsafe fn step_cycle(
     job: &Job,
     shared: &SharedState,
     lo: usize,
@@ -520,15 +518,27 @@ unsafe fn compute_cycle(
         *rel_idx += 1;
     }
     let topo = &*job.topo;
-    let wires = &*job.wires;
     let arrivals = &*job.arrivals;
+    let ring = job.ring.expect("a batch's job carries its wires");
+    let (n, first) = (ring.wires, lo * ring.ports);
+    let (read, write) = (ring.read_bank(c) * n, ring.write_bank(c) * n + first);
+    let len = (hi - lo) * ring.ports;
+    let mut links = Links::shared(
+        std::slice::from_raw_parts(job.flits.add(read), n),
+        std::slice::from_raw_parts(job.credits.add(read), n),
+        std::slice::from_raw_parts_mut(job.flits.add(write), len),
+        std::slice::from_raw_parts_mut(job.credits.add(write), len),
+        first,
+        arrivals,
+        c,
+    );
     let slot = arrivals.slot(c);
     let mut any = false;
     for r in lo..hi {
         let router = &mut *job.routers.add(r);
         let marks = arrivals.take(r, slot);
         if EngineParts::router_live(job.gating, router, marks) {
-            router.phase_compute(topo, wires, marks, c);
+            router.step(topo, &mut links, marks, c);
             any |= router.was_active();
         }
     }
@@ -536,35 +546,6 @@ unsafe fn compute_cycle(
         shared
             .active_bits
             .fetch_or(1 << (c - job.t0), Ordering::Relaxed);
-    }
-}
-
-/// Send phase of one batch cycle over `lo..hi`: publish staged output on
-/// the routers' own slot chunks and mark the receivers' arrival words.
-///
-/// # Safety
-///
-/// Same contract as [`compute_cycle`]; additionally each router writes only
-/// its own `chunk`-sized slot chunks, disjoint because ranges are disjoint.
-/// The only writes that cross ranges are `fetch_or`s into arrival slot
-/// `(c + L) % P`, which no worker reads or clears before cycle `c + L`: the
-/// compute phase of `c` takes slot `c % P`, a different one.
-unsafe fn send_cycle(job: &Job, lo: usize, hi: usize, c: u64) {
-    let topo = &*job.topo;
-    let arrivals = &*job.arrivals;
-    let landing = arrivals.landing_slot(c);
-    for r in lo..hi {
-        let router = &mut *job.routers.add(r);
-        // Staging is produced by this cycle's compute, so a router with
-        // nothing staged was either skipped or idle: no wire writes, no
-        // marks.
-        if !router.has_staged() {
-            continue;
-        }
-        let fw = std::slice::from_raw_parts_mut(job.flit_slots.add(r * job.chunk), job.chunk);
-        let cw = std::slice::from_raw_parts_mut(job.credit_slots.add(r * job.chunk), job.chunk);
-        router.phase_send(fw, cw, c);
-        arrivals.mark(topo, router, landing);
     }
 }
 
@@ -584,7 +565,7 @@ fn worker_loop(worker: usize, shared: &SharedState) {
             )
         };
         let mut rel_idx = 0usize;
-        // Panics inside router phases (a model bug, or an injected test
+        // Panics inside router steps (a model bug, or an injected test
         // fault) must not kill the worker: a dead thread would deadlock the
         // pool at the next barrier. Catch the panic, record the first one
         // in the shared fault slot, skip the remaining cycle bodies, and
@@ -593,22 +574,9 @@ fn worker_loop(worker: usize, shared: &SharedState) {
         for c in job.t0..job.t0 + job.cycles {
             if !dead {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    // SAFETY: between start and end barriers, disjoint range.
-                    unsafe { compute_cycle(&job, shared, lo, hi, c, &mut rel_idx) }
-                }));
-                if let Err(payload) = result {
-                    let mut slot = shared.fault.write();
-                    if slot.is_none() {
-                        *slot = Some((worker, panic_message(payload.as_ref())));
-                    }
-                    dead = true;
-                }
-            }
-            shared.mid.wait();
-            if !dead {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    // SAFETY: between start and end barriers, disjoint range.
-                    unsafe { send_cycle(&job, lo, hi, c) }
+                    // SAFETY: between start and end barriers, one boundary
+                    // barrier after cycle `c - 1`, disjoint range.
+                    unsafe { step_cycle(&job, shared, lo, hi, c, &mut rel_idx) }
                 }));
                 if let Err(payload) = result {
                     let mut slot = shared.fault.write();

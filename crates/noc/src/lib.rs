@@ -20,11 +20,12 @@
 //! * Full [`NocStats`]: latency breakdowns, per-(class, hops) tables,
 //!   throughput and histograms.
 //!
-//! The per-cycle update is split into a *compute* phase (reads shared wires
-//! immutably) and a *send* phase (writes only the router's own wires), which
-//! lets `ra-gpu` execute the identical model bulk-synchronously across a
-//! worker pool — the stand-in for the paper's GPU coprocessor — with
-//! bit-identical results to the serial engine.
+//! Each router advances one cycle in one pass ([`Router::step`]) that reads
+//! the links' slots of cycle `now - L` and writes only its own links' slots
+//! of cycle `now` ([`Wires::links`]), so the routers of a cycle may run in
+//! any order. That lets `ra-gpu` execute the identical model
+//! bulk-synchronously across a worker pool — the stand-in for the paper's
+//! GPU coprocessor — with bit-identical results to the serial engine.
 //!
 //! # Quick start
 //!
@@ -69,4 +70,4 @@ pub use router::Router;
 pub use stats::{FaultStats, NocStats};
 pub use topology::{RouteDecision, TopologyMap};
 pub use traffic::{InjectionProcess, TrafficGen, TrafficPattern};
-pub use wire::{Arrivals, Credit, Slot, Wire, Wires};
+pub use wire::{Arrivals, Credit, Links, Ring, Slot, Wire, Wires};

@@ -4,15 +4,15 @@
 //!
 //! Most routers of a large mesh are idle most cycles at the loads real
 //! workloads offer, so the network maintains an **active set**: a router is
-//! stepped only if it holds work of its own (buffered flits, NI backlog,
-//! staged output — see [`Router::has_work`]), is touched by a fault script,
-//! or something lands on its wires this cycle. Links are push-based: after
-//! every send phase the engine sets, for each flit or credit sent, the
-//! receiver's bit in its [`Arrivals`] word for the landing cycle, and before
-//! a compute phase it takes the router's word for the current cycle, so a
-//! router reads only the wires that carry something. Skipping a quiescent
-//! router is invisible to simulated results: wires are cycle-stamped (no
-//! `None` scrubbing needed) and the router fast-forwards its VC-allocation
+//! stepped only if it holds work of its own (buffered flits or NI backlog —
+//! see [`Router::has_work`]), is touched by a fault script, or something
+//! lands on its wires this cycle. Links are push-based: every flit or credit
+//! a router's switch traversal sends sets the receiver's bit in its
+//! [`Arrivals`] word for the landing cycle, and before a router's step the
+//! engine takes the router's word for the current cycle, so a router reads
+//! only the wires that carry something. Skipping a quiescent router is
+//! invisible to simulated results: wires are cycle-stamped (no `None`
+//! scrubbing needed) and the router fast-forwards its VC-allocation
 //! round-robin pointer on wake-up.
 //! The determinism tests hold the engines to bit-identical [`NocStats`]
 //! with gating on or off, serial or parallel.
@@ -83,7 +83,7 @@ pub struct ReleasedInjection {
 
 impl Router {
     /// Enqueues a batched injection release at this router's NI. Must be
-    /// called at the start of the release's cycle, before the compute phase
+    /// called at the start of the release's cycle, before the router's step
     /// (the packet takes part in NI arbitration that very cycle, exactly as
     /// the unbatched release path would have it).
     pub fn apply_release(&mut self, rel: &ReleasedInjection) {
@@ -101,15 +101,16 @@ pub struct EngineParts<'a> {
     pub topo: &'a TopologyMap,
     /// All routers.
     pub routers: &'a mut [Router],
-    /// All wires; router `r` owns the contiguous chunk
-    /// [`Wires::chunks_mut`]`(r)` of both slot banks.
+    /// All wires, slot-major: cycle `c` reads bank `(c - L) % P` and writes
+    /// bank `c % P` ([`Wires::links`]), and router `r` writes only its own
+    /// wires `r * ports .. (r + 1) * ports` of it.
     pub wires: &'a mut Wires,
     /// Routers that must be stepped at `now`, ascending. Empty for batched
     /// jobs ([`begin_batch`](NocNetwork::begin_batch)), where the engine
     /// evaluates liveness per cycle via [`EngineParts::router_live`].
     pub active: &'a [u32],
-    /// Per-router arrival words: marked by senders with `fetch_or`, taken
-    /// by the engine before each router's compute phase.
+    /// Per-router arrival words: marked by senders' switch traversal, taken
+    /// by the engine before each router's step.
     pub arrivals: &'a Arrivals,
     /// Whether clock gating is enabled; if not, every router is stepped
     /// every cycle.
@@ -315,13 +316,15 @@ impl NocNetwork {
     ///
     /// An engine must, for that cycle:
     ///
-    /// 1. call [`Router::phase_compute`] on every router in
-    ///    [`EngineParts::active`] with the word [`Arrivals::take`] returns
-    ///    for it (any order, or in parallel — compute reads wires immutably
-    ///    and writes only the router's own state);
-    /// 2. call [`Router::phase_send`] on the same routers with each
-    ///    router's own contiguous slot chunks, then [`Arrivals::mark`];
-    /// 3. call [`finish_cycle`](NocNetwork::finish_cycle) exactly once.
+    /// 1. call [`Router::step`] once on every router in
+    ///    [`EngineParts::active`], with the word [`Arrivals::take`] returns
+    ///    for it and [`Links`](crate::Links) over the cycle's read bank and
+    ///    a write bank range holding the router's own wires. Any order, or
+    ///    disjoint ranges in parallel with [`Links::shared`](crate::Links::shared):
+    ///    a step reads only bank `(now - L) % P`, writes only its own wires
+    ///    of bank `now % P` and its own state, and marks only arrival slot
+    ///    `(now + L) % P`, so no step of the cycle sees another's writes;
+    /// 2. call [`finish_cycle`](NocNetwork::finish_cycle) exactly once.
     pub fn parts(&mut self) -> EngineParts<'_> {
         self.release_due_injections();
         self.refresh_active();
@@ -531,7 +534,7 @@ impl NocNetwork {
     /// Completes the batch started by
     /// [`begin_batch`](NocNetwork::begin_batch) for the same number of
     /// `cycles`. Bit `c` of `active_bits` must be set iff any router's
-    /// compute phase moved a flit in the batch's `c`-th cycle.
+    /// step moved a flit in the batch's `c`-th cycle.
     pub fn finish_batch(&mut self, cycles: u64, active_bits: u64) {
         self.collect_router_events(false);
         self.apply_window(cycles, active_bits);
@@ -833,7 +836,8 @@ impl NocNetwork {
     pub fn debug_stray_arrival(&mut self, router: usize, port: u32) {
         assert!(port < self.topo.ports(), "port {port} out of range");
         let slot = self.arrivals.landing_slot(self.next_cycle);
-        self.arrivals.set(router, slot, 1 << port);
+        let word = self.arrivals.word(router, slot);
+        word.fetch_or(1 << port, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// The routers (read-only; used by the energy model and diagnostics).
@@ -841,7 +845,7 @@ impl NocNetwork {
         &self.routers
     }
 
-    /// Total `phase_compute` invocations across all routers — the work the
+    /// Total [`Router::step`] invocations across all routers — the work the
     /// clock gating saves is directly visible here (diagnostic; the gating
     /// regression tests assert on it).
     pub fn compute_invocations(&self) -> u64 {
@@ -895,9 +899,8 @@ impl NocNetwork {
     }
 }
 
-/// One cycle of the serial engine over borrowed [`EngineParts`]: compute
-/// phase over the active set, each router reading its taken arrival word,
-/// then send phase over the same routers, marking their receivers' words.
+/// One cycle of the serial engine over borrowed [`EngineParts`]: one step
+/// per router of the active set, each reading its taken arrival word.
 fn serial_cycle(parts: EngineParts<'_>) {
     let EngineParts {
         now,
@@ -909,19 +912,10 @@ fn serial_cycle(parts: EngineParts<'_>) {
         ..
     } = parts;
     let slot = arrivals.slot(now);
+    let mut links = wires.links(now, arrivals);
     for &r in active {
         let r = r as usize;
-        routers[r].phase_compute(topo, wires, arrivals.take(r, slot), now);
-    }
-    let landing = arrivals.landing_slot(now);
-    for &r in active {
-        let r = r as usize;
-        let router = &mut routers[r];
-        if router.has_staged() {
-            let (flit_slots, credit_slots) = wires.chunks_mut(r);
-            router.phase_send(flit_slots, credit_slots, now);
-            arrivals.mark(topo, router, landing);
-        }
+        routers[r].step(topo, &mut links, arrivals.take(r, slot), now);
     }
 }
 
@@ -1300,6 +1294,63 @@ mod gating_tests {
         }
     }
 
+    /// A cycle's writes are invisible within that cycle: stepping each
+    /// cycle's active set in descending router order gives the serial
+    /// engine's ascending-order statistics bit for bit, on one- and
+    /// two-cycle links, with a link dying under load and a flaky window.
+    #[test]
+    fn step_order_within_a_cycle_is_invisible() {
+        use crate::fault::FaultPlan;
+        fn run(latency: u32, descending: bool) -> NocStats {
+            let plan = FaultPlan::new()
+                .kill_link(27, crate::topology::EAST, 300)
+                .flaky_link(18, crate::topology::NORTH, 0, 800, 0.2);
+            let cfg = NocConfig::new(8, 8)
+                .with_seed(5)
+                .with_link_latency(latency)
+                .with_faults(plan);
+            let mut net = NocNetwork::new(cfg).unwrap();
+            let mut gen = TrafficGen::new(
+                8,
+                8,
+                TrafficPattern::Uniform,
+                InjectionProcess::Bernoulli { rate: 0.05 },
+                13,
+            );
+            for now in 0..1_500u64 {
+                if now < 1_000 {
+                    gen.inject_cycle(&mut net, Cycle(now));
+                }
+                if !descending {
+                    net.step();
+                    continue;
+                }
+                let EngineParts {
+                    now,
+                    topo,
+                    routers,
+                    wires,
+                    active,
+                    arrivals,
+                    ..
+                } = net.parts();
+                let slot = arrivals.slot(now);
+                let mut links = wires.links(now, arrivals);
+                for &r in active.iter().rev() {
+                    let r = r as usize;
+                    routers[r].step(topo, &mut links, arrivals.take(r, slot), now);
+                }
+                net.finish_cycle();
+            }
+            net.audit().unwrap();
+            assert!(net.stats().faults.flits_dropped() > 0, "the faults must bite");
+            net.stats().clone()
+        }
+        for latency in [1, 2] {
+            assert_eq!(run(latency, true), run(latency, false), "latency {latency}");
+        }
+    }
+
     /// The batched engine protocol on the serial engine's own cycle loop:
     /// begin_batch / finish_batch over quiet and busy windows gives the
     /// same result as per-cycle stepping.
@@ -1325,22 +1376,16 @@ mod gating_tests {
                         rel_idx += 1;
                     }
                     let mut any = false;
+                    let mut links = parts.wires.links(c, arrivals);
                     for r in 0..parts.routers.len() {
                         let marks = arrivals.take(r, arrivals.slot(c));
                         if EngineParts::router_live(parts.gating, &parts.routers[r], marks) {
-                            parts.routers[r].phase_compute(parts.topo, parts.wires, marks, c);
+                            parts.routers[r].step(parts.topo, &mut links, marks, c);
                             any |= parts.routers[r].was_active();
                         }
                     }
                     if any {
                         active_bits |= 1 << (c - t0);
-                    }
-                    for r in 0..parts.routers.len() {
-                        if parts.routers[r].has_staged() {
-                            let (flit_slots, credit_slots) = parts.wires.chunks_mut(r);
-                            parts.routers[r].phase_send(flit_slots, credit_slots, c);
-                            arrivals.mark(parts.topo, &parts.routers[r], arrivals.landing_slot(c));
-                        }
                     }
                 }
                 net.finish_batch(batch, active_bits);

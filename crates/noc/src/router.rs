@@ -1,21 +1,22 @@
 //! The virtual-channel wormhole router.
 //!
-//! Each router executes two phases per cycle:
+//! Each router executes one pass per cycle, [`Router::step`]: it reads the
+//! incoming flit and credit wires its arrival word marks, then runs the
+//! pipeline stages in *reverse* order (SA/ST, then VA, then RC) so a flit
+//! advances at most one stage per cycle: a head flit arriving at cycle `t`
+//! route-computes at `t`, gets a VC at `t+1`, and traverses the switch at
+//! `t+2`, giving the classic 3-cycle router + link latency per hop while
+//! body flits stream at one flit per cycle.
 //!
-//! 1. **compute** ([`Router::phase_compute`]) — reads the incoming flit and
-//!    credit wires its arrival word marks (immutable access to the shared
-//!    [`Wires`]), then runs the
-//!    pipeline stages in *reverse* order (SA/ST, then VA, then RC) so a flit
-//!    advances at most one stage per cycle: a head flit arriving at cycle
-//!    `t` route-computes at `t`, gets a VC at `t+1`, and traverses the
-//!    switch at `t+2`, giving the classic 3-cycle router + link latency per
-//!    hop while body flits stream at one flit per cycle.
-//! 2. **send** ([`Router::phase_send`]) — moves the flit/credit staged by
-//!    compute onto this router's own outgoing wires.
-//!
-//! Compute only *reads* other routers' wires and only *writes* its own
-//! state; send only writes the router's own wires. The bulk-synchronous
-//! parallel engine in `ra-gpu` exploits exactly this contract.
+//! Switch traversal puts each flit straight onto the router's own output
+//! link, and the credit for the input slot it freed onto the router's own
+//! upstream credit link, marking each receiver's arrival word for the cycle
+//! it lands. A step reads the links' slots of cycle `now - L` and writes
+//! only its own wires' slots of cycle `now`, a different bank
+//! ([`Links`]), so no router stepped in the same cycle can see what it
+//! sent, and routers of one cycle may be stepped in any order or in
+//! parallel. The bulk-synchronous engine in `ra-gpu` exploits exactly this
+//! contract.
 //!
 //! # Hot-path layout
 //!
@@ -40,12 +41,12 @@
 //!
 //! # Clock gating
 //!
-//! A quiescent router (no buffered flits, no NI backlog, no staged output)
-//! computes nothing and sends nothing, so the engines skip it entirely
+//! A quiescent router (no buffered flits, no NI backlog) computes nothing
+//! and sends nothing, so the engines skip it entirely
 //! (see [`NocNetwork`](crate::NocNetwork)). Skipping must be invisible to
 //! simulated results: the only per-cycle state an idle router would still
 //! mutate is the VC-allocation round-robin pointer, so
-//! [`phase_compute`](Router::phase_compute) fast-forwards that pointer by
+//! [`step`](Router::step) fast-forwards that pointer by
 //! the number of skipped cycles on wake-up, making gated and ungated
 //! schedules bit-identical.
 
@@ -58,7 +59,7 @@ use crate::fault::FaultState;
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::stats::FaultStats;
 use crate::topology::TopologyMap;
-use crate::wire::{Credit, Slot, Wires};
+use crate::wire::Links;
 
 /// Limits of a router's state (`NocConfig::validate` enforces them): `u32`
 /// port masks, `u64` VC masks, and `u8` ring heads and lengths.
@@ -164,8 +165,6 @@ pub struct Router {
     ovc_owner: Vec<u32>,
     // --- per-port state ---
     masks: Vec<VcMasks>,
-    out_staging: Vec<Option<Flit>>,
-    credit_staging: Vec<Option<Credit>>,
     ni: Vec<LocalIface>,
     /// VC-allocation round-robin pointer, flat `va_port * total_vcs + va_vc`.
     va_port: u32,
@@ -177,19 +176,13 @@ pub struct Router {
     buffered: u32,
     /// NI backlog: queued packets plus in-progress injections.
     ni_work: u32,
-    /// Staged flits + credits awaiting `phase_send`.
-    staged: u32,
-    /// Wire ring slots per link (`link_latency + 1`).
-    period: usize,
-    /// The next cycle this router expects `phase_compute` for; used to
-    /// fast-forward the VA round-robin pointer over gated-off cycles.
+    /// Link latency in cycles.
+    latency: u64,
+    /// The next cycle this router expects `step` for; used to fast-forward
+    /// the VA round-robin pointer over gated-off cycles.
     clock: u64,
-    /// Total `phase_compute` invocations (gating regression tests).
+    /// Total `step` invocations (gating regression tests).
     compute_calls: u64,
-    /// Ports on which the last `phase_send` put a flit on the wire.
-    sent_flit_mask: u32,
-    /// Ports on which the last `phase_send` put a credit on the wire.
-    sent_credit_mask: u32,
     /// Packets ejected this cycle: `(packet, cycle)`.
     pub(crate) delivered: Vec<(PacketId, u64)>,
     /// Packets whose head flit entered the network this cycle.
@@ -206,7 +199,7 @@ pub struct Router {
     /// network converts it into a structured
     /// [`SimError::Invariant`](ra_sim::SimError) at the cycle boundary.
     invariant: Option<String>,
-    /// Test hook: panic on the next `phase_compute`.
+    /// Test hook: panic on the next `step`.
     debug_panic: bool,
 }
 
@@ -250,8 +243,6 @@ impl Router {
             ovc_credits: vec![cfg.vc_depth; n_vcs],
             ovc_owner: vec![NONE_IDX; n_vcs],
             masks: vec![VcMasks::default(); ports as usize],
-            out_staging: vec![None; ports as usize],
-            credit_staging: vec![None; ports as usize],
             ni,
             va_port: 0,
             va_vc: 0,
@@ -259,12 +250,9 @@ impl Router {
             sa_port_ptr: vec![0; ports as usize],
             buffered: 0,
             ni_work: 0,
-            staged: 0,
-            period: cfg.link_latency as usize + 1,
+            latency: u64::from(cfg.link_latency),
             clock: 0,
             compute_calls: 0,
-            sent_flit_mask: 0,
-            sent_credit_mask: 0,
             delivered: Vec::new(),
             net_started: Vec::new(),
             stats: RouterStats {
@@ -360,15 +348,15 @@ impl Router {
         self.ni_work as usize
     }
 
-    /// True if this router has anything to do on its own: buffered flits,
-    /// NI backlog, or staged wire output. A router with no work can only be
-    /// re-activated by an in-flight wire value, which marks the router's
-    /// arrival word for the cycle it lands.
+    /// True if this router has anything to do on its own: buffered flits
+    /// or NI backlog. A router with no work can only be re-activated by an
+    /// in-flight wire value, which marks the router's arrival word for the
+    /// cycle it lands.
     #[inline]
     pub fn has_work(&self) -> bool {
         // An armed debug panic counts as work so the fault-injection tests
         // still fire under clock gating.
-        self.buffered | self.ni_work | self.staged != 0 || self.debug_panic
+        self.buffered | self.ni_work != 0 || self.debug_panic
     }
 
     /// True if a fault script touches this router. Fault-scripted routers
@@ -379,39 +367,16 @@ impl Router {
         self.fault.is_some()
     }
 
-    /// Total `phase_compute` invocations over the router's lifetime.
+    /// Total [`step`](Router::step) invocations over the router's lifetime.
     pub fn compute_invocations(&self) -> u64 {
         self.compute_calls
     }
 
-    /// Ports on which the last [`phase_send`](Router::phase_send) placed a
-    /// flit on the wire (bit `p` = port `p`).
-    #[inline]
-    pub fn sent_flit_mask(&self) -> u32 {
-        self.sent_flit_mask
-    }
-
-    /// Ports on which the last [`phase_send`](Router::phase_send) placed a
-    /// credit on the wire.
-    #[inline]
-    pub fn sent_credit_mask(&self) -> u32 {
-        self.sent_credit_mask
-    }
-
-    /// Whether the last [`phase_compute`](Router::phase_compute) moved any
-    /// flit (the network's progress/watchdog signal).
+    /// Whether the last [`step`](Router::step) moved any flit (the
+    /// network's progress/watchdog signal).
     #[inline]
     pub fn was_active(&self) -> bool {
         self.stats.active
-    }
-
-    /// Whether any flit or credit is staged for the send phase. Staging is
-    /// created in `phase_compute` and consumed by `phase_send` of the same
-    /// cycle, so engines may skip the send phase of routers with nothing
-    /// staged.
-    #[inline]
-    pub fn has_staged(&self) -> bool {
-        self.staged != 0
     }
 
     /// Re-aligns the gating clock after the *network* clock jumped without
@@ -517,18 +482,10 @@ impl Router {
                 self.id, self.ni_work
             ));
         }
-        let staged = self.out_staging.iter().flatten().count()
-            + self.credit_staging.iter().flatten().count();
-        if staged != self.staged as usize {
-            return Err(format!(
-                "router {}: staging counter {} disagrees with staged output ({staged})",
-                self.id, self.staged
-            ));
-        }
         Ok(())
     }
 
-    /// Test hook: the next `phase_compute` panics, simulating a crashing
+    /// Test hook: the next `step` panics, simulating a crashing
     /// component inside an engine worker.
     #[doc(hidden)]
     pub fn debug_force_panic(&mut self) {
@@ -549,16 +506,18 @@ impl Router {
         self.masks[self.locals as usize].routed ^= 1;
     }
 
-    /// Phase 1: consume wires, run SA/ST, VA, RC, and NI injection.
+    /// One cycle: consume wires, run SA/ST (which sends on the links), VA,
+    /// RC, and NI injection.
     ///
     /// `arrivals` is the router's arrival word for `now`, taken (loaded
     /// and zeroed) by the engine: only the wires it marks are read.
+    /// `links` holds the slots of cycle `now - L` to read and this router's
+    /// own wires' slots of cycle `now` to write.
     ///
     /// A router frozen by a scripted [`RouterStall`](crate::FaultEvent)
     /// does nothing this cycle: it neither reads its wires (in-flight
-    /// flits towards it expire unread and are lost upstream) nor stages
-    /// anything to send.
-    pub fn phase_compute(&mut self, topo: &TopologyMap, wires: &Wires, arrivals: u64, now: u64) {
+    /// flits towards it expire unread and are lost upstream) nor sends.
+    pub fn step(&mut self, topo: &TopologyMap, links: &mut Links<'_>, arrivals: u64, now: u64) {
         // Fast-forward the VA round-robin pointer over clock-gated cycles:
         // it is the only per-cycle state an idle router would still have
         // advanced, so catching it up here makes gated schedules
@@ -583,72 +542,20 @@ impl Router {
             }
         }
         if arrivals != 0 {
-            self.receive(topo, wires, arrivals, now);
+            self.receive(topo, links, arrivals, now);
         }
         self.inject_from_ni(now);
-        self.switch_allocate_and_traverse(now);
+        self.switch_allocate_and_traverse(topo, links, now);
         self.vc_allocate();
         self.route_compute(topo);
-    }
-
-    /// Phase 2: publish staged flits and credits on this router's wires.
-    ///
-    /// `flit_slots` and `credit_slots` are the contiguous chunks this router
-    /// owns ([`Wires::chunks_mut`]). Idle ports skip the wire write
-    /// entirely (wire slots are cycle-stamped, so no `None` scrubbing is
-    /// needed), and the ports actually written are recorded in the sent
-    /// masks, from which the engine marks the receivers' arrival words
-    /// ([`Arrivals::mark`](crate::Arrivals::mark)).
-    pub fn phase_send(
-        &mut self,
-        flit_slots: &mut [Slot<Flit>],
-        credit_slots: &mut [Slot<Credit>],
-        now: u64,
-    ) {
-        debug_assert_eq!(flit_slots.len(), self.ports as usize * self.period);
-        debug_assert_eq!(credit_slots.len(), self.ports as usize * self.period);
-        self.sent_flit_mask = 0;
-        self.sent_credit_mask = 0;
-        if self.staged == 0 {
-            return;
-        }
-        let slot = (now % self.period as u64) as usize;
-        for p in 0..self.ports as usize {
-            let mut flit = self.out_staging[p].take();
-            let mut credit = self.credit_staging[p].take();
-            self.staged -= flit.is_some() as u32 + credit.is_some() as u32;
-            // Link faults act at the channel: a dead link carries nothing
-            // (flits and credit returns are lost), a flaky link drops
-            // flits by a per-router deterministic coin flip.
-            if let Some(fault) = self.fault.as_mut() {
-                if fault.link_dead(p, now) {
-                    if flit.take().is_some() {
-                        self.fault_events.flits_dropped_dead += 1;
-                    }
-                    credit = None;
-                } else if flit.is_some() && fault.flaky_drop(p, now) {
-                    flit = None;
-                    self.fault_events.flits_dropped_flaky += 1;
-                }
-            }
-            if let Some(flit) = flit {
-                flit_slots[p * self.period + slot] = Slot::new(now, flit);
-                self.sent_flit_mask |= 1 << p;
-            }
-            if let Some(credit) = credit {
-                credit_slots[p * self.period + slot] = Slot::new(now, credit);
-                self.sent_credit_mask |= 1 << p;
-            }
-        }
     }
 
     /// Reads the wires `arrivals` marks, credits first, each kind in
     /// ascending port order: credits returned by downstream routers (bit
     /// `32 + out_port`), then flits from upstream routers (bit `in_port`).
-    fn receive(&mut self, topo: &TopologyMap, wires: &Wires, arrivals: u64, now: u64) {
+    fn receive(&mut self, topo: &TopologyMap, links: &Links<'_>, arrivals: u64, now: u64) {
         // A mark lands `link_latency` cycles after its send, so `now >= L`.
-        let sent = now - (self.period as u64 - 1);
-        let slot = (sent % self.period as u64) as usize;
+        let sent = now - self.latency;
         let mut credits = (arrivals >> 32) as u32;
         while credits != 0 {
             let port = credits.trailing_zeros();
@@ -658,8 +565,8 @@ impl Router {
             }
             let wire = topo
                 .link_dst(self.id, port)
-                .map(|(dst, in_port)| wires.index(dst, in_port));
-            let Some(vc) = wire.and_then(|w| wires.credit(w, slot, sent)) else {
+                .map(|(dst, in_port)| (dst * self.ports + in_port) as usize);
+            let Some(vc) = wire.and_then(|w| links.read_credits[w].read(sent)) else {
                 self.poison(format!(
                     "router {} port {port}: marked credit wire carries nothing sent at {sent}",
                     self.id
@@ -682,8 +589,8 @@ impl Router {
             flits &= flits - 1;
             let wire = topo
                 .link_src(self.id, port)
-                .map(|(src, out_port)| wires.index(src, out_port));
-            let Some(flit) = wire.and_then(|w| wires.flit(w, slot, sent)) else {
+                .map(|(src, out_port)| (src * self.ports + out_port) as usize);
+            let Some(flit) = wire.and_then(|w| links.read_flits[w].read(sent)) else {
                 self.poison(format!(
                     "router {} port {port}: marked flit wire carries nothing sent at {sent}",
                     self.id
@@ -776,11 +683,23 @@ impl Router {
     }
 
     /// Switch allocation + switch traversal: one grant per input port, one
-    /// per output port, round-robin priorities, traversal in the same cycle.
+    /// per output port, round-robin priorities, traversal in the same cycle
+    /// straight onto the output link, with the freed slot's credit onto the
+    /// input's upstream credit link.
+    ///
+    /// Link faults act at the channel: a dead link carries nothing (flits
+    /// and credit returns are lost), and a flaky link drops flits by a coin
+    /// flip from the router's own stream, drawn in ascending output-port
+    /// order (the grant order).
     ///
     /// The nominations and request masks live on the stack — this is the
     /// per-cycle hot path and it must not allocate.
-    fn switch_allocate_and_traverse(&mut self, now: u64) {
+    fn switch_allocate_and_traverse(
+        &mut self,
+        topo: &TopologyMap,
+        links: &mut Links<'_>,
+        now: u64,
+    ) {
         // Stage 1: each input port nominates its first VC, round-robin from
         // `sa_vc_ptr`, that is active, holds a flit, and has a downstream
         // credit (ejection needs none); `requests[o]` collects output `o`'s.
@@ -853,19 +772,27 @@ impl Router {
                 } else {
                     self.ovc_credits[out_idx] -= 1;
                 }
-                debug_assert!(self.out_staging[out_port as usize].is_none());
-                self.out_staging[out_port as usize] = Some(flit);
-                self.staged += 1;
                 self.stats.link_flits += 1;
+                if self.link_dead(out_port, now) {
+                    self.fault_events.flits_dropped_dead += 1;
+                } else if self
+                    .fault
+                    .as_mut()
+                    .is_some_and(|f| f.flaky_drop(out_port as usize, now))
+                {
+                    self.fault_events.flits_dropped_flaky += 1;
+                } else {
+                    let wire = (self.id * self.ports + out_port) as usize;
+                    links.send_flit(wire, now, flit, topo.link_dst(self.id, out_port));
+                }
             }
             self.stats.flits_out[out_port as usize] += 1;
             self.stats.active = true;
             // Return a credit upstream (links only; the NI watches buffer
             // occupancy directly).
-            if in_port >= self.locals {
-                debug_assert!(self.credit_staging[in_port as usize].is_none());
-                self.credit_staging[in_port as usize] = Some(vc as u8);
-                self.staged += 1;
+            if in_port >= self.locals && !self.link_dead(in_port, now) {
+                let wire = (self.id * self.ports + in_port) as usize;
+                links.send_credit(wire, now, vc as u8, topo.link_src(self.id, in_port));
             }
         }
     }
@@ -971,7 +898,7 @@ impl Router {
                         // Orphaned body/tail flit whose head was lost on a
                         // flaky link upstream: discard it. Its buffer-slot
                         // credit is not returned — lossy channels degrade
-                        // permanently, same as the drop in `phase_send`.
+                        // permanently, same as a drop in switch traversal.
                         self.pop_flit(port, vc);
                         self.fault_events.flits_dropped_flaky += 1;
                     } else {
@@ -1040,6 +967,7 @@ mod tests {
     use super::*;
 
     use crate::flit::flit_kinds;
+    use crate::wire::{Arrivals, Wires};
 
     #[test]
     fn kind_at_matches_flit_kinds_iterator() {
@@ -1048,6 +976,18 @@ mod tests {
             let got: Vec<_> = (0..total).map(|i| kind_at(i, total)).collect();
             assert_eq!(expect, got, "total {total}");
         }
+    }
+
+    /// Wires and arrival words for a router stepped on its own.
+    fn links_of(topo: &TopologyMap, cfg: &NocConfig) -> (Wires, Arrivals) {
+        let wires = Wires::new(topo.routers(), topo.ports(), cfg.link_latency);
+        (wires, Arrivals::new(topo.routers(), cfg.link_latency))
+    }
+
+    /// Steps `r` at `now` with nothing arriving.
+    fn step(r: &mut Router, topo: &TopologyMap, links: &mut (Wires, Arrivals), now: u64) {
+        let (wires, arrivals) = links;
+        r.step(topo, &mut wires.links(now, arrivals), 0, now);
     }
 
     fn mini_router() -> (Router, TopologyMap, NocConfig) {
@@ -1070,7 +1010,7 @@ mod tests {
     #[test]
     fn ni_injects_one_flit_per_cycle() {
         let (mut r, topo, cfg) = mini_router();
-        let wires = Wires::new(topo.routers(), topo.ports(), cfg.link_latency);
+        let mut links = links_of(&topo, &cfg);
         r.enqueue_packet(
             0,
             0,
@@ -1083,9 +1023,9 @@ mod tests {
         );
         assert_eq!(r.ni_backlog(), 1);
         assert!(r.has_work(), "queued packet counts as work");
-        r.phase_compute(&topo, &wires, 0, 0);
+        step(&mut r, &topo, &mut links, 0);
         assert_eq!(r.buffered_flits(), 1);
-        r.phase_compute(&topo, &wires, 0, 1);
+        step(&mut r, &topo, &mut links, 1);
         // Cycle 1: NI injects body; head may also have moved to the switch,
         // so the buffer holds at most 2 flits and at least 1.
         assert!(r.buffered_flits() >= 1);
@@ -1098,7 +1038,7 @@ mod tests {
         // Packet from node 0 to node 0: injected on the local port, routed
         // straight back out of the local port.
         let (mut r, topo, cfg) = mini_router();
-        let wires = Wires::new(topo.routers(), topo.ports(), cfg.link_latency);
+        let mut links = links_of(&topo, &cfg);
         r.enqueue_packet(
             0,
             0,
@@ -1111,7 +1051,7 @@ mod tests {
         );
         let mut delivered_at = None;
         for now in 0..10 {
-            r.phase_compute(&topo, &wires, 0, now);
+            step(&mut r, &topo, &mut links, now);
             if let Some(&(pkt, at)) = r.delivered.first() {
                 assert_eq!(pkt, 7);
                 delivered_at = Some(at);
@@ -1125,7 +1065,7 @@ mod tests {
     #[test]
     fn work_counters_return_to_zero_after_delivery() {
         let (mut r, topo, cfg) = mini_router();
-        let wires = Wires::new(topo.routers(), topo.ports(), cfg.link_latency);
+        let mut links = links_of(&topo, &cfg);
         r.enqueue_packet(
             0,
             0,
@@ -1137,7 +1077,7 @@ mod tests {
             },
         );
         for now in 0..10 {
-            r.phase_compute(&topo, &wires, 0, now);
+            step(&mut r, &topo, &mut links, now);
         }
         assert!(!r.delivered.is_empty());
         assert!(!r.has_work(), "delivered router must be gate-able");
@@ -1152,7 +1092,7 @@ mod tests {
         // prove it indirectly.
         let (mut gated, topo, cfg) = mini_router();
         let (mut free, _, _) = mini_router();
-        let wires = Wires::new(topo.routers(), topo.ports(), cfg.link_latency);
+        let mut links = links_of(&topo, &cfg);
         let pkt = PendingPacket {
             pkt: 1,
             dst_router: 0,
@@ -1161,16 +1101,16 @@ mod tests {
         };
         // Ungated: step every cycle 0..20, inject at 12.
         for now in 0..12 {
-            free.phase_compute(&topo, &wires, 0, now);
+            step(&mut free, &topo, &mut links, now);
         }
         free.enqueue_packet(0, 0, pkt);
         for now in 12..24 {
-            free.phase_compute(&topo, &wires, 0, now);
+            step(&mut free, &topo, &mut links, now);
         }
         // Gated: skip the idle prefix entirely.
         gated.enqueue_packet(0, 0, pkt);
         for now in 12..24 {
-            gated.phase_compute(&topo, &wires, 0, now);
+            step(&mut gated, &topo, &mut links, now);
         }
         assert_eq!(free.delivered, gated.delivered, "gating must not shift timing");
     }
@@ -1201,7 +1141,7 @@ mod tests {
             .with_faults(FaultPlan::new().stall_router(0, 0, 5));
         let topo = TopologyMap::new(&cfg);
         let mut r = Router::new(0, &cfg, &topo, 1);
-        let wires = Wires::new(topo.routers(), topo.ports(), cfg.link_latency);
+        let mut links = links_of(&topo, &cfg);
         r.enqueue_packet(
             0,
             0,
@@ -1213,12 +1153,12 @@ mod tests {
             },
         );
         for now in 0..5 {
-            r.phase_compute(&topo, &wires, 0, now);
+            step(&mut r, &topo, &mut links, now);
         }
         assert_eq!(r.buffered_flits(), 0, "stalled router injects nothing");
         assert_eq!(r.take_fault_events().stall_cycles, 5);
         for now in 5..15 {
-            r.phase_compute(&topo, &wires, 0, now);
+            step(&mut r, &topo, &mut links, now);
         }
         assert!(!r.delivered.is_empty(), "delivers once the stall lifts");
     }
@@ -1226,7 +1166,7 @@ mod tests {
     #[test]
     fn multi_flit_local_delivery_serializes() {
         let (mut r, topo, cfg) = mini_router();
-        let wires = Wires::new(topo.routers(), topo.ports(), cfg.link_latency);
+        let mut links = links_of(&topo, &cfg);
         r.enqueue_packet(
             0,
             0,
@@ -1239,7 +1179,7 @@ mod tests {
         );
         let mut delivered_at = None;
         for now in 0..20 {
-            r.phase_compute(&topo, &wires, 0, now);
+            step(&mut r, &topo, &mut links, now);
             if let Some(&(_, at)) = r.delivered.first() {
                 delivered_at = Some(at);
                 break;

@@ -5,9 +5,10 @@
 //! pattern until every internal buffer has reached its high-water mark
 //! (packet table, free list, event scratches, per-VC buffers, delivery
 //! drain buffer), then the identical pattern continues and the test
-//! asserts that **zero** further allocations happen: `Router::phase_compute`
-//! / `phase_send` and the per-cycle network bookkeeping run entirely out of
-//! reused scratch storage.
+//! asserts that **zero** further allocations happen: `Router::step` (whose
+//! switch traversal writes the links and marks the receivers' arrival
+//! words) and the per-cycle network bookkeeping run entirely out of reused
+//! scratch storage.
 //!
 //! Everything lives in one `#[test]` because the allocation counter is
 //! process-global: a second test running concurrently on another harness

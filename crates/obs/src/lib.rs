@@ -177,7 +177,7 @@ pub enum Event {
         from_cycle: u64,
         /// One past the last cycle of the window.
         to_cycle: u64,
-        /// Router `phase_compute` invocations in the window — the
+        /// Router `step` invocations in the window — the
         /// active-router count integrated over time (what clock gating
         /// saves is directly visible here).
         router_steps: u64,
