@@ -10,7 +10,9 @@
 //! flaky link (route compute's orphan-discard branch), a dead link, a stall
 //! and a flaky window under load (every `FaultStats` counter: flits and
 //! credits lost at dead channels, flaky drops, stalled cycles, reroutes),
-//! two-cycle links (multi-slot wire rings), and a chiplet.
+//! two-cycle links (multi-slot wire rings), and a chiplet. A windowed replay
+//! at link latencies 1 and 2 also pins the serial schedule itself: how many
+//! router steps ran and how many cycles `fast_forward_idle` covered.
 //!
 //! The full-system cases pin every `FullSysStats` counter of the tiles
 //! themselves — instructions, loads, stores, L1/L2 hits and misses, stale
@@ -22,7 +24,8 @@
 //! The values were recorded before the router's scans became bitmask
 //! walks, the two-cycle-link pin before links became push-based, the
 //! full-system pins before tiles were stepped only when they can act, and
-//! the fault pin before switch traversal wrote the links itself.
+//! the fault pin before switch traversal wrote the links itself, and the
+//! windowed-replay pin before the serial tick ran its cycles in batches.
 //! Editing one is a simulated-behaviour change, not a test fix.
 
 use reciprocal_abstraction::cosim::{
@@ -281,6 +284,89 @@ fn two_cycle_links() {
             sa_grants: 20607,
             buffer_writes: 20607
         }
+    );
+}
+
+/// A coupler-style replay on the serial engine: each 250-cycle window's
+/// messages are injected ahead at their own cycles, then `tick` runs to the
+/// window's end. Two windows in three carry an 80-cycle burst that starts
+/// 30 cycles in, and the third is silent, so the mesh drains and idles
+/// between bursts and `fast_forward_idle` covers the gaps. Returns the
+/// usual pin plus the router steps and fast-forwarded cycles, which decide
+/// what the stepping loop did and skipped.
+fn windowed_case(link_latency: u32) -> (Golden, u64, u64) {
+    const WINDOW: u64 = 250;
+    let mut net = NocNetwork::new(NocConfig::new(8, 4).with_link_latency(link_latency)).unwrap();
+    let mut gens = [
+        TrafficGen::new(
+            8,
+            4,
+            TrafficPattern::Uniform,
+            InjectionProcess::Bernoulli { rate: 0.08 },
+            21,
+        ),
+        TrafficGen::new(
+            8,
+            4,
+            TrafficPattern::Uniform,
+            InjectionProcess::Bernoulli { rate: 0.03 },
+            22,
+        )
+        .with_class(MessageClass::Response)
+        .with_payload_bytes(72),
+    ];
+    for w in 0..12 {
+        let start = w * WINDOW;
+        if w % 3 != 2 {
+            for now in start + 30..start + 110 {
+                for gen in &mut gens {
+                    gen.inject_cycle(&mut net, Cycle(now));
+                }
+            }
+        }
+        net.tick(Cycle(start + WINDOW - 1));
+    }
+    let stats = net.stats();
+    (
+        golden(stats.cycles, stats.delivered, stats, net.routers().iter()),
+        net.compute_invocations(),
+        net.fast_forwarded_cycles(),
+    )
+}
+
+#[test]
+fn windowed_replay_schedule() {
+    let got: Vec<_> = [1, 2].into_iter().map(windowed_case).collect();
+    assert_eq!(
+        got,
+        vec![
+            (
+                Golden {
+                    cycles: 3000,
+                    messages: 2227,
+                    latency_mean_bits: 4625390576240481608,
+                    flits: 4639,
+                    vc_allocs: 11009,
+                    sa_grants: 22873,
+                    buffer_writes: 22873
+                },
+                22226,
+                1883
+            ),
+            (
+                Golden {
+                    cycles: 3000,
+                    messages: 2227,
+                    latency_mean_bits: 4626506364787586100,
+                    flits: 4639,
+                    vc_allocs: 11009,
+                    sa_grants: 22873,
+                    buffer_writes: 22873
+                },
+                23213,
+                1816
+            ),
+        ]
     );
 }
 
