@@ -19,24 +19,25 @@
 //! # Batched cycles and fused barriers
 //!
 //! Driving one cycle costs two full-pool rendezvous (start, end). The
-//! engine therefore executes up to [`MAX_BATCH_CYCLES`] cycles per job: the
-//! coordinator crosses only the start and end barriers of a batch, and
-//! between cycles the workers synchronize among themselves on one cheaper
-//! worker-only barrier — the end-of-cycle and start-of-next-cycle
-//! rendezvous fuse into one. Injections coming due inside a batch are handed
-//! out up front ([`ra_noc::ReleasedInjection`]) and applied by the owning
-//! worker at the right cycle, and delivery events are cycle-stamped and
-//! merged afterwards in exactly the serial order
+//! engine therefore executes up to [`MAX_BATCH_CYCLES`] cycles per job, as
+//! the serial engine does: the coordinator crosses only the start and end
+//! barriers of a batch, and between cycles the workers synchronize among
+//! themselves on one cheaper worker-only barrier — the end-of-cycle and
+//! start-of-next-cycle rendezvous fuse into one. Injections coming due
+//! inside a batch are handed out up front ([`ra_noc::ReleasedInjection`])
+//! and applied by the owning worker at the right cycle, and delivery events
+//! are cycle-stamped and merged afterwards in exactly the serial order
 //! ([`NocNetwork::finish_batch`]).
 //!
 //! # Clock gating and load balancing
 //!
-//! Workers consume the same liveness predicate as the serial engine
-//! ([`EngineParts::router_live`]) rather than blindly sweeping their range,
-//! so a mostly-idle mesh costs a liveness check per router instead of a full
-//! pipeline step. Because live routers may cluster (one busy corner of the
-//! mesh), the coordinator re-partitions the contiguous router ranges at
-//! every batch boundary, weighting live routers heavier than idle ones.
+//! Each worker makes the serial engine's own per-cycle pass,
+//! [`step_range`], over its range, so it applies the same liveness
+//! predicate ([`EngineParts::router_live`]) and a mostly-idle mesh costs a
+//! liveness check per router instead of a full pipeline step. Because live
+//! routers may cluster (one busy corner of the mesh), the coordinator
+//! re-partitions the contiguous router ranges at every batch boundary,
+//! weighting live routers heavier than idle ones.
 //!
 //! # Example
 //!
@@ -64,8 +65,8 @@ use std::thread::JoinHandle;
 use parking_lot::RwLock;
 use ra_obs::{Event, ObsSink};
 use ra_noc::{
-    Arrivals, Credit, EngineParts, Flit, Links, NocNetwork, ReleasedInjection, Ring, Router, Slot,
-    TopologyMap, MAX_BATCH_CYCLES,
+    step_range, Arrivals, Credit, EngineParts, Flit, Links, NocNetwork, ReleasedInjection, Ring,
+    Router, Slot, TopologyMap, MAX_BATCH_CYCLES,
 };
 use ra_sim::SimError;
 
@@ -490,14 +491,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One batch cycle over `lo..hi`: apply the injections coming due, step
-/// every live router, and OR the cycle's activity bit.
+/// One batch cycle over `lo..hi`: apply the injections coming due, make the
+/// [`step_range`] pass the serial engine makes, and OR the cycle's activity
+/// bit.
 ///
 /// # Safety
 ///
 /// Must run between the batch's start and end barriers, one barrier after
-/// the previous cycle, with `lo..hi` disjoint from every other worker's
-/// range (see the `Job` safety comment).
+/// the previous cycle, with `lo..hi` inside the job's routers and disjoint
+/// from every other worker's range (see the `Job` safety comment).
 unsafe fn step_cycle(
     job: &Job,
     shared: &SharedState,
@@ -532,17 +534,9 @@ unsafe fn step_cycle(
         arrivals,
         c,
     );
-    let slot = arrivals.slot(c);
-    let mut any = false;
-    for r in lo..hi {
-        let router = &mut *job.routers.add(r);
-        let marks = arrivals.take(r, slot);
-        if EngineParts::router_live(job.gating, router, marks) {
-            router.step(topo, &mut links, marks, c);
-            any |= router.was_active();
-        }
-    }
-    if any {
+    let routers = std::slice::from_raw_parts_mut(job.routers.add(lo), hi - lo);
+    let pass = step_range(topo, routers, lo, &mut links, arrivals, job.gating, c);
+    if pass.moved {
         shared
             .active_bits
             .fetch_or(1 << (c - job.t0), Ordering::Relaxed);

@@ -25,7 +25,9 @@
 //! of cycle `now` ([`Wires::links`]), so the routers of a cycle may run in
 //! any order. That lets `ra-gpu` execute the identical model
 //! bulk-synchronously across a worker pool — the stand-in for the paper's
-//! GPU coprocessor — with bit-identical results to the serial engine.
+//! GPU coprocessor — with bit-identical results to the serial engine: both
+//! engines run the same per-cycle pass, [`step_range`], over all routers
+//! or over one worker's range.
 //!
 //! # Quick start
 //!
@@ -64,7 +66,10 @@ pub use config::{NocConfig, Routing, TopologyKind};
 pub use deflection::{DeflectionConfig, DeflectionNetwork};
 pub use fault::{FaultEvent, FaultPlan};
 pub use flit::{Flit, FlitKind, PacketId};
-pub use network::{EngineParts, NocNetwork, NocWindowSnapshot, ReleasedInjection, MAX_BATCH_CYCLES};
+pub use network::{
+    step_range, EngineParts, NocNetwork, NocWindowSnapshot, RangeActivity, ReleasedInjection,
+    MAX_BATCH_CYCLES,
+};
 pub use power::{EnergyBreakdown, EnergyParams};
 pub use router::Router;
 pub use stats::{FaultStats, NocStats};

@@ -3,28 +3,38 @@
 //! # Clock gating
 //!
 //! Most routers of a large mesh are idle most cycles at the loads real
-//! workloads offer, so the network maintains an **active set**: a router is
-//! stepped only if it holds work of its own (buffered flits or NI backlog —
-//! see [`Router::has_work`]), is touched by a fault script, or something
-//! lands on its wires this cycle. Links are push-based: every flit or credit
-//! a router's switch traversal sends sets the receiver's bit in its
-//! [`Arrivals`] word for the landing cycle, and before a router's step the
-//! engine takes the router's word for the current cycle, so a router reads
-//! only the wires that carry something. Skipping a quiescent router is
-//! invisible to simulated results: wires are cycle-stamped (no `None`
-//! scrubbing needed) and the router fast-forwards its VC-allocation
-//! round-robin pointer on wake-up.
+//! workloads offer, so a router is stepped only if it is **live**: it holds
+//! work of its own (buffered flits or NI backlog — see
+//! [`Router::has_work`]), is touched by a fault script, or something lands
+//! on its wires this cycle ([`EngineParts::router_live`]). Links are
+//! push-based: every flit or credit a router's switch traversal sends sets
+//! the receiver's bit in its [`Arrivals`] word for the landing cycle, and
+//! the pass over the routers ([`step_range`]) takes each router's word for
+//! the current cycle right before testing it, so liveness costs one load
+//! per router and a router reads only the wires that carry something.
+//! Skipping a quiescent router is invisible to simulated results: wires are
+//! cycle-stamped (no `None` scrubbing needed) and the router fast-forwards
+//! its VC-allocation round-robin pointer on wake-up.
 //! The determinism tests hold the engines to bit-identical [`NocStats`]
 //! with gating on or off, serial or parallel.
 //!
 //! # Batched execution
 //!
-//! The parallel engine amortizes its synchronization by executing up to
-//! [`MAX_BATCH_CYCLES`] cycles per job: [`NocNetwork::begin_batch`] hands
-//! out the work (pre-popping the injections that come due inside the
-//! window), the engine runs the cycles back-to-back, and
-//! [`NocNetwork::finish_batch`] merges the cycle-stamped delivery events in
-//! exactly the order the one-cycle path would have produced them.
+//! Both engines run up to [`MAX_BATCH_CYCLES`] cycles back to back and
+//! settle the network's books once per batch. Each cycle of a batch first
+//! releases the injections coming due in it, then makes one [`step_range`]
+//! pass. Routers stamp their delivery and net-start events with their
+//! cycle, and at the end of the batch the network drains every router once
+//! and applies the events cycle-major, in exactly the order a one-cycle
+//! loop would have produced them.
+//!
+//! The serial engine's batch ([`Network::tick`], and [`NocNetwork::step`]
+//! as a batch of one) ends early, before any later cycle in which no router
+//! is live and no injection is queued, so `tick` tries
+//! [`NocNetwork::fast_forward_idle`] at every cycle where it could succeed.
+//! The parallel engine in `ra-gpu` uses [`NocNetwork::begin_batch`], which
+//! pre-pops the batch's injections for its workers, and
+//! [`NocNetwork::finish_batch`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -37,7 +47,7 @@ use crate::flit::PacketId;
 use crate::router::{PendingPacket, Router};
 use crate::stats::{FaultStats, NocStats};
 use crate::topology::TopologyMap;
-use crate::wire::{Arrivals, Wires};
+use crate::wire::{Arrivals, Links, Wires};
 
 /// Cycles of total inactivity (with traffic in flight) after which the
 /// watchdog declares a deadlock.
@@ -91,11 +101,13 @@ impl Router {
     }
 }
 
-/// Everything a cycle execution engine needs from the network for one cycle
-/// (or one batch of cycles), borrowed at once so the engine can hand the
-/// mutable pieces to its workers.
+/// Everything a cycle execution engine needs from the network for one batch
+/// of cycles ([`NocNetwork::begin_batch`]), borrowed at once so the engine
+/// can hand the mutable pieces to its workers. Each cycle of the batch, an
+/// engine steps its routers with [`step_range`], which evaluates liveness
+/// itself.
 pub struct EngineParts<'a> {
-    /// First (or only) cycle to execute.
+    /// First cycle to execute.
     pub now: u64,
     /// Static topology.
     pub topo: &'a TopologyMap,
@@ -105,12 +117,8 @@ pub struct EngineParts<'a> {
     /// bank `c % P` ([`Wires::links`]), and router `r` writes only its own
     /// wires `r * ports .. (r + 1) * ports` of it.
     pub wires: &'a mut Wires,
-    /// Routers that must be stepped at `now`, ascending. Empty for batched
-    /// jobs ([`begin_batch`](NocNetwork::begin_batch)), where the engine
-    /// evaluates liveness per cycle via [`EngineParts::router_live`].
-    pub active: &'a [u32],
     /// Per-router arrival words: marked by senders' switch traversal, taken
-    /// by the engine before each router's step.
+    /// by [`step_range`] before each router's step.
     pub arrivals: &'a Arrivals,
     /// Whether clock gating is enabled; if not, every router is stepped
     /// every cycle.
@@ -126,6 +134,49 @@ impl EngineParts<'_> {
     pub fn router_live(gating: bool, router: &Router, arrivals: u64) -> bool {
         !gating || arrivals != 0 || router.has_work() || router.is_fault_scripted()
     }
+}
+
+/// What one cycle's [`step_range`] pass did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RangeActivity {
+    /// Some router of the range was live, and stepped.
+    pub stepped: bool,
+    /// Some stepped router moved a flit (the deadlock watchdog's input).
+    pub moved: bool,
+}
+
+/// One cycle of a contiguous router range, the per-cycle loop of both
+/// engines: for each router in ascending order, takes its arrival word for
+/// `now`, tests [`EngineParts::router_live`], and if live calls
+/// [`Router::step`].
+///
+/// `routers[i]` is router `first + i`. `links` must hold the cycle's read
+/// bank and the write bank's wires of at least this range: the serial batch
+/// passes every router with [`Wires::links`], and each `ra-gpu` worker its
+/// own range with [`Links::shared`](crate::Links::shared). A step reads
+/// only bank `(now - L) % P`, writes only its own wires of bank `now % P`
+/// and its own state, and marks only arrival slot `(now + L) % P`, so the
+/// ranges of one cycle may run in any order or in parallel.
+pub fn step_range(
+    topo: &TopologyMap,
+    routers: &mut [Router],
+    first: usize,
+    links: &mut Links<'_>,
+    arrivals: &Arrivals,
+    gating: bool,
+    now: u64,
+) -> RangeActivity {
+    let slot = arrivals.slot(now);
+    let mut activity = RangeActivity::default();
+    for (i, router) in routers.iter_mut().enumerate() {
+        let marks = arrivals.take(first + i, slot);
+        if EngineParts::router_live(gating, router, marks) {
+            router.step(topo, links, marks, now);
+            activity.stepped = true;
+            activity.moved |= router.was_active();
+        }
+    }
+    activity
 }
 
 /// The cycle-level network-on-chip simulator.
@@ -173,8 +224,6 @@ pub struct NocNetwork {
     invariant: Option<SimError>,
     /// Per-router arrival words (see [`EngineParts::arrivals`]).
     arrivals: Arrivals,
-    /// Scratch: the active set of the cycle being executed.
-    active_scratch: Vec<u32>,
     /// Scratch: `(packet, cycle)` net-start events drained from routers.
     started_scratch: Vec<(PacketId, u64)>,
     /// Scratch: `(packet, cycle)` delivery events drained from routers.
@@ -229,8 +278,7 @@ impl NocNetwork {
             .collect::<Vec<_>>();
         let wires = Wires::new(topo.routers(), topo.ports(), cfg.link_latency);
         let stats = NocStats::new(topo.diameter());
-        let n = topo.routers();
-        let arrivals = Arrivals::new(n, cfg.link_latency);
+        let arrivals = Arrivals::new(topo.routers(), cfg.link_latency);
         Ok(NocNetwork {
             cfg,
             topo,
@@ -248,7 +296,6 @@ impl NocNetwork {
             stats,
             invariant: None,
             arrivals,
-            active_scratch: Vec::with_capacity(n),
             started_scratch: Vec::new(),
             delivered_scratch: Vec::new(),
             sink: ObsSink::disabled(),
@@ -296,58 +343,16 @@ impl NocNetwork {
         self.next_cycle
     }
 
-    /// Rebuilds the active set for the cycle about to execute.
-    fn refresh_active(&mut self) {
-        self.active_scratch.clear();
-        if !self.cfg.clock_gating {
-            self.active_scratch.extend(0..self.routers.len() as u32);
-            return;
-        }
-        let slot = self.arrivals.slot(self.next_cycle);
-        for (i, router) in self.routers.iter().enumerate() {
-            if EngineParts::router_live(true, router, self.arrivals.load(i, slot)) {
-                self.active_scratch.push(i as u32);
-            }
-        }
-    }
-
-    /// Splits the network into the pieces a cycle execution engine needs
-    /// for **one** cycle (the returned [`EngineParts::now`]).
-    ///
-    /// An engine must, for that cycle:
-    ///
-    /// 1. call [`Router::step`] once on every router in
-    ///    [`EngineParts::active`], with the word [`Arrivals::take`] returns
-    ///    for it and [`Links`](crate::Links) over the cycle's read bank and
-    ///    a write bank range holding the router's own wires. Any order, or
-    ///    disjoint ranges in parallel with [`Links::shared`](crate::Links::shared):
-    ///    a step reads only bank `(now - L) % P`, writes only its own wires
-    ///    of bank `now % P` and its own state, and marks only arrival slot
-    ///    `(now + L) % P`, so no step of the cycle sees another's writes;
-    /// 2. call [`finish_cycle`](NocNetwork::finish_cycle) exactly once.
-    pub fn parts(&mut self) -> EngineParts<'_> {
-        self.release_due_injections();
-        self.refresh_active();
-        EngineParts {
-            now: self.next_cycle,
-            topo: &self.topo,
-            routers: &mut self.routers,
-            wires: &mut self.wires,
-            active: &self.active_scratch,
-            arrivals: &self.arrivals,
-            gating: self.cfg.clock_gating,
-        }
-    }
-
     /// Starts a batched engine window of exactly `cycles` cycles (at most
     /// [`MAX_BATCH_CYCLES`]), beginning at the current cycle.
     ///
     /// Injections coming due inside the window are popped into `releases`
     /// in deterministic `(cycle, injection-order)` order; the engine must
     /// apply each with [`Router::apply_release`] at the start of its cycle.
-    /// The engine evaluates router liveness per cycle itself (the returned
-    /// [`EngineParts::active`] is empty), runs all cycles, and then calls
-    /// [`finish_batch`](NocNetwork::finish_batch) exactly once.
+    /// In each cycle `c` it then runs one [`step_range`] pass over every
+    /// router range, setting bit `c - now` of the batch's activity word if
+    /// any pass reports [`RangeActivity::moved`]. After the last cycle it
+    /// calls [`finish_batch`](NocNetwork::finish_batch) exactly once.
     pub fn begin_batch(
         &mut self,
         cycles: u64,
@@ -380,16 +385,15 @@ impl NocNetwork {
             topo: &self.topo,
             routers: &mut self.routers,
             wires: &mut self.wires,
-            active: &[],
             arrivals: &self.arrivals,
             gating: self.cfg.clock_gating,
         }
     }
 
-    /// Moves injections whose cycle has arrived into their source NI.
-    fn release_due_injections(&mut self) {
+    /// Moves injections whose cycle `now` has arrived into their source NI.
+    fn release_due_injections(&mut self, now: u64) {
         while let Some(Reverse(q)) = self.future.peek() {
-            if q.cycle > self.next_cycle {
+            if q.cycle > now {
                 break;
             }
             let Reverse(q) = self.future.pop().expect("peeked");
@@ -402,25 +406,12 @@ impl NocNetwork {
     }
 
     /// Drains invariants, fault events, and stamped delivery events from
-    /// routers into the network scratch buffers. Scans only the active set
-    /// when `active_only` (single-cycle path — skipped routers cannot have
-    /// produced events), every router otherwise (batch path).
-    fn collect_router_events(&mut self, active_only: bool) {
+    /// every router into the network scratch buffers, once per batch.
+    fn collect_router_events(&mut self) {
         self.started_scratch.clear();
         self.delivered_scratch.clear();
         let has_faults = !self.cfg.faults.is_empty();
-        let count = if active_only {
-            self.active_scratch.len()
-        } else {
-            self.routers.len()
-        };
-        for i in 0..count {
-            let r = if active_only {
-                self.active_scratch[i] as usize
-            } else {
-                i
-            };
-            let router = &mut self.routers[r];
+        for router in &mut self.routers {
             if let Some(msg) = router.take_invariant() {
                 if self.invariant.is_none() {
                     self.invariant = Some(SimError::Invariant(msg));
@@ -520,31 +511,55 @@ impl NocNetwork {
         });
     }
 
-    /// Completes the cycle started by [`parts`](NocNetwork::parts):
-    /// collects deliveries and statistics and advances the clock.
-    pub fn finish_cycle(&mut self) {
-        let mut any_active = false;
-        for i in 0..self.active_scratch.len() {
-            any_active |= self.routers[self.active_scratch[i] as usize].stats.active;
-        }
-        self.collect_router_events(true);
-        self.apply_window(1, u64::from(any_active));
-    }
-
     /// Completes the batch started by
     /// [`begin_batch`](NocNetwork::begin_batch) for the same number of
     /// `cycles`. Bit `c` of `active_bits` must be set iff any router's
     /// step moved a flit in the batch's `c`-th cycle.
     pub fn finish_batch(&mut self, cycles: u64, active_bits: u64) {
-        self.collect_router_events(false);
+        self.collect_router_events();
         self.apply_window(cycles, active_bits);
     }
 
-    /// Executes one cycle with the built-in serial engine.
+    /// Executes one cycle with the built-in serial engine: a batch of one.
     pub fn step(&mut self) {
-        let parts = self.parts();
-        serial_cycle(parts);
-        self.finish_cycle();
+        self.run_batch(self.next_cycle + 1);
+    }
+
+    /// The serial engine: runs cycles from `next_cycle` towards `end`
+    /// (exclusive), at most [`MAX_BATCH_CYCLES`] of them, each one release
+    /// of its due injections and one [`step_range`] pass over every router,
+    /// then settles the batch's events once.
+    ///
+    /// The batch ends before any later cycle whose pass finds no router
+    /// live while no injection is queued. Such a pass changed nothing (a
+    /// released injection would have made its router live), and it is the
+    /// only kind of cycle at which
+    /// [`fast_forward_idle`](NocNetwork::fast_forward_idle) can succeed (a
+    /// queued injection counts as in flight), so [`tick`](Network::tick)
+    /// tries it there exactly as a per-cycle loop would.
+    fn run_batch(&mut self, end: u64) {
+        let t0 = self.next_cycle;
+        let end = end.min(t0 + MAX_BATCH_CYCLES);
+        let mut active_bits = 0u64;
+        let mut now = t0;
+        while now < end {
+            self.release_due_injections(now);
+            let pass = step_range(
+                &self.topo,
+                &mut self.routers,
+                0,
+                &mut self.wires.links(now, &self.arrivals),
+                &self.arrivals,
+                self.cfg.clock_gating,
+                now,
+            );
+            if !pass.stepped && now > t0 && self.future.is_empty() {
+                break;
+            }
+            active_bits |= u64::from(pass.moved) << (now - t0);
+            now += 1;
+        }
+        self.finish_batch(now - t0, active_bits);
     }
 
     /// Advances through cycles `[next_cycle, target)` that provably step
@@ -899,26 +914,6 @@ impl NocNetwork {
     }
 }
 
-/// One cycle of the serial engine over borrowed [`EngineParts`]: one step
-/// per router of the active set, each reading its taken arrival word.
-fn serial_cycle(parts: EngineParts<'_>) {
-    let EngineParts {
-        now,
-        topo,
-        routers,
-        wires,
-        active,
-        arrivals,
-        ..
-    } = parts;
-    let slot = arrivals.slot(now);
-    let mut links = wires.links(now, arrivals);
-    for &r in active {
-        let r = r as usize;
-        routers[r].step(topo, &mut links, arrivals.take(r, slot), now);
-    }
-}
-
 impl Network for NocNetwork {
     fn inject(&mut self, msg: NetMessage, now: Cycle) {
         debug_assert!(
@@ -964,7 +959,7 @@ impl Network for NocNetwork {
     fn tick(&mut self, now: Cycle) {
         while self.next_cycle <= now.0 {
             if self.fast_forward_idle(now.0 + 1) == 0 {
-                self.step();
+                self.run_batch(now.0 + 1);
             }
         }
     }
@@ -1294,13 +1289,15 @@ mod gating_tests {
         }
     }
 
-    /// A cycle's writes are invisible within that cycle: stepping each
-    /// cycle's active set in descending router order gives the serial
-    /// engine's ascending-order statistics bit for bit, on one- and
-    /// two-cycle links, with a link dying under load and a flaky window.
+    /// A cycle's writes are invisible within that cycle: engine batches
+    /// that step each cycle's routers one at a time in descending order
+    /// give the serial tick's ascending-order statistics bit for bit, on
+    /// one- and two-cycle links, with a link dying under load and a flaky
+    /// window.
     #[test]
     fn step_order_within_a_cycle_is_invisible() {
         use crate::fault::FaultPlan;
+        const BATCH: u64 = 10;
         fn run(latency: u32, descending: bool) -> NocStats {
             let plan = FaultPlan::new()
                 .kill_link(27, crate::topology::EAST, 300)
@@ -1317,30 +1314,15 @@ mod gating_tests {
                 InjectionProcess::Bernoulli { rate: 0.05 },
                 13,
             );
-            for now in 0..1_500u64 {
-                if now < 1_000 {
+            for t0 in (0..1_500u64).step_by(BATCH as usize) {
+                for now in t0..(t0 + BATCH).min(1_000) {
                     gen.inject_cycle(&mut net, Cycle(now));
                 }
-                if !descending {
-                    net.step();
-                    continue;
+                if descending {
+                    engine_batch(&mut net, BATCH, 1, true);
+                } else {
+                    net.tick(Cycle(t0 + BATCH - 1));
                 }
-                let EngineParts {
-                    now,
-                    topo,
-                    routers,
-                    wires,
-                    active,
-                    arrivals,
-                    ..
-                } = net.parts();
-                let slot = arrivals.slot(now);
-                let mut links = wires.links(now, arrivals);
-                for &r in active.iter().rev() {
-                    let r = r as usize;
-                    routers[r].step(topo, &mut links, arrivals.take(r, slot), now);
-                }
-                net.finish_cycle();
             }
             net.audit().unwrap();
             assert!(net.stats().faults.flits_dropped() > 0, "the faults must bite");
@@ -1351,9 +1333,45 @@ mod gating_tests {
         }
     }
 
+    /// Runs one engine batch of `batch` cycles by hand, through
+    /// `begin_batch` and `finish_batch`: each cycle applies its releases and
+    /// steps the routers as `step_range` passes over ranges of `width`
+    /// routers, the highest range first when `descending`.
+    fn engine_batch(net: &mut NocNetwork, batch: u64, width: usize, descending: bool) {
+        let mut releases = Vec::new();
+        let parts = net.begin_batch(batch, &mut releases);
+        let t0 = parts.now;
+        let mut active_bits = 0u64;
+        let mut due = releases.iter().peekable();
+        for c in t0..t0 + batch {
+            while let Some(rel) = due.next_if(|rel| rel.cycle == c) {
+                parts.routers[rel.router as usize].apply_release(rel);
+            }
+            let mut links = parts.wires.links(c, parts.arrivals);
+            let mut ranges: Vec<_> = parts.routers.chunks_mut(width).enumerate().collect();
+            if descending {
+                ranges.reverse();
+            }
+            for (i, range) in ranges {
+                let first = i * width;
+                let pass = step_range(
+                    parts.topo,
+                    range,
+                    first,
+                    &mut links,
+                    parts.arrivals,
+                    parts.gating,
+                    c,
+                );
+                active_bits |= u64::from(pass.moved) << (c - t0);
+            }
+        }
+        net.finish_batch(batch, active_bits);
+    }
+
     /// The batched engine protocol on the serial engine's own cycle loop:
-    /// begin_batch / finish_batch over quiet and busy windows gives the
-    /// same result as per-cycle stepping.
+    /// begin_batch / finish_batch over quiet and busy windows, stepping
+    /// ranges of five routers, gives the same result as per-cycle stepping.
     #[test]
     fn batch_protocol_matches_per_cycle_stepping() {
         fn run_batched(batch: u64) -> NocStats {
@@ -1362,33 +1380,8 @@ mod gating_tests {
                 // Spread injections so some land mid-batch.
                 net.inject(msg(i, (i as u32 * 5) % 16, (i as u32 * 11 + 2) % 16), Cycle(i * 7));
             }
-            let mut releases = Vec::new();
             while net.in_flight() > 0 || net.next_cycle() < 200 {
-                let parts = net.begin_batch(batch, &mut releases);
-                let mut active_bits = 0u64;
-                let mut rel_idx = 0;
-                let t0 = parts.now;
-                let arrivals = parts.arrivals;
-                for c in t0..t0 + batch {
-                    while rel_idx < releases.len() && releases[rel_idx].cycle == c {
-                        let rel = &releases[rel_idx];
-                        parts.routers[rel.router as usize].apply_release(rel);
-                        rel_idx += 1;
-                    }
-                    let mut any = false;
-                    let mut links = parts.wires.links(c, arrivals);
-                    for r in 0..parts.routers.len() {
-                        let marks = arrivals.take(r, arrivals.slot(c));
-                        if EngineParts::router_live(parts.gating, &parts.routers[r], marks) {
-                            parts.routers[r].step(parts.topo, &mut links, marks, c);
-                            any |= parts.routers[r].was_active();
-                        }
-                    }
-                    if any {
-                        active_bits |= 1 << (c - t0);
-                    }
-                }
-                net.finish_batch(batch, active_bits);
+                engine_batch(&mut net, batch, 5, false);
                 if net.next_cycle() > 100_000 {
                     panic!("batched run diverged");
                 }
@@ -1414,6 +1407,81 @@ mod gating_tests {
             assert_eq!(batched.delivered, serial.delivered, "batch {batch}");
             assert_eq!(batched.latency, serial.latency, "batch {batch}");
             assert_eq!(batched.net_latency, serial.net_latency, "batch {batch}");
+        }
+    }
+
+    /// The serial engine's batches are invisible: a windowed replay through
+    /// `tick` gives what a per-cycle loop of `fast_forward_idle` and `step`
+    /// gives (statistics, router steps, fast-forwarded cycles and delivery
+    /// order) with gating on and off at link latencies 1 to 3. A router
+    /// poisoned in the middle of a batch still surfaces through
+    /// `check_invariant` once the `tick` returns, with the same message.
+    #[test]
+    fn batched_tick_matches_per_cycle_steps() {
+        type Outcome = (NocStats, u64, u64, Vec<(u64, u64)>, String);
+        /// Advances `net` through cycle `end`, batched or a cycle at a time.
+        fn advance(net: &mut NocNetwork, end: u64, batched: bool) {
+            if batched {
+                net.tick(Cycle(end));
+                return;
+            }
+            while net.next_cycle() <= end {
+                if net.fast_forward_idle(end + 1) == 0 {
+                    net.step();
+                }
+            }
+        }
+        fn run(latency: u32, gating: bool, batched: bool) -> Outcome {
+            const WINDOW: u64 = 200;
+            let cfg = NocConfig::new(4, 4)
+                .with_seed(7)
+                .with_link_latency(latency)
+                .with_clock_gating(gating);
+            let mut net = NocNetwork::new(cfg).unwrap();
+            let mut gen = TrafficGen::new(
+                4,
+                4,
+                TrafficPattern::Uniform,
+                InjectionProcess::Bernoulli { rate: 0.1 },
+                5,
+            );
+            // Bursts injected a window ahead, with silent stretches between.
+            let mut order = Vec::new();
+            for w in 0..6 {
+                let start = w * WINDOW;
+                if w % 3 != 2 {
+                    for now in start + 20..start + 90 {
+                        gen.inject_cycle(&mut net, Cycle(now));
+                    }
+                }
+                advance(&mut net, start + WINDOW - 1, batched);
+                let delivered = net.drain_delivered(Cycle(start + WINDOW));
+                order.extend(delivered.iter().map(|d| (d.msg.id, d.at.0)));
+            }
+            // A stream from router 0 to 15 keeps the next batch running
+            // while router 12, off its path, takes a mark for a wire that
+            // carries nothing.
+            let t = net.next_cycle();
+            for i in 0..8 {
+                let class = MessageClass::Response;
+                net.inject(NetMessage::new(1_000 + i, NodeId(0), NodeId(15), class, 72), Cycle(t));
+            }
+            advance(&mut net, t + 5, batched);
+            net.check_invariant().unwrap();
+            net.debug_stray_arrival(12, 3);
+            advance(&mut net, t + 60, batched);
+            let poison = net.check_invariant().unwrap_err().to_string();
+            let steps = net.compute_invocations();
+            (net.stats().clone(), steps, net.fast_forwarded_cycles(), order, poison)
+        }
+        for latency in 1..=3 {
+            for gating in [true, false] {
+                let batched = run(latency, gating, true);
+                assert!(batched.4.contains("marked flit wire"), "{}", batched.4);
+                assert_eq!(batched.2 > 0, gating, "fast-forward fires when gated");
+                let per_cycle = run(latency, gating, false);
+                assert_eq!(batched, per_cycle, "latency {latency}, gating {gating}");
+            }
         }
     }
 }

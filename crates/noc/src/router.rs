@@ -31,6 +31,19 @@
 //! allocation `active & non_empty` and then per-output request masks, and
 //! the NI's free-VC search its vnet's band.
 //!
+//! Nor does any stage scan ports. Beside the VC masks the router keeps two
+//! `u32` port masks, also audited: `occupied` (ports buffering a flit, kept
+//! by `push_flit` and `pop_flit`) and `routed_ports` (ports with a `Routed`
+//! VC, kept by `set_state`). Switch allocation's nominations and route
+//! compute walk only occupied ports, and VC allocation only ports with a
+//! routed VC, though its round-robin pointer still advances every step; an
+//! unoccupied port has no candidate in any of them. The NI injection pass
+//! is skipped outright while no packet is queued or streaming. Per-VC
+//! routing state is narrow, so more of it shares a cache line: output port,
+//! output VC and credit count are `u8`, and an output VC's owner is a `u16`
+//! flat input-VC index, widths that the limits `NocConfig::validate`
+//! enforces guarantee.
+//!
 //! Set-bit order is scan order. Each allocator visits candidates ascending,
 //! or round-robin from a pointer `s`. A mask rotated right by `s` holds bits
 //! `s..` at positions `0..` and bits `..s` above them, so its ascending set
@@ -62,13 +75,16 @@ use crate::topology::TopologyMap;
 use crate::wire::Links;
 
 /// Limits of a router's state (`NocConfig::validate` enforces them): `u32`
-/// port masks, `u64` VC masks, and `u8` ring heads and lengths.
+/// port masks and `u8` port numbers, `u64` VC masks and `u8` VC numbers,
+/// `u8` ring heads, lengths and credit counts, and `u16` flat input-VC
+/// indices (below `MAX_PORTS * MAX_VCS`).
 pub(crate) const MAX_PORTS: u32 = 32;
 pub(crate) const MAX_VCS: u32 = 64;
 pub(crate) const MAX_VC_DEPTH: u32 = u8::MAX as u32;
 
-/// Sentinel for "no input VC" in the output-VC owner table.
-const NONE_IDX: u32 = u32::MAX;
+/// Sentinel for "no input VC" in the output-VC owner table (flat input-VC
+/// indices stop below `MAX_PORTS * MAX_VCS`).
+const NONE_IDX: u16 = u16::MAX;
 
 /// State of an input virtual channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,16 +171,20 @@ pub struct Router {
     vc_head: Vec<u8>,
     vc_len: Vec<u8>,
     vc_state: Vec<VcState>,
-    vc_out_port: Vec<u32>,
-    vc_out_vc: Vec<u32>,
+    vc_out_port: Vec<u8>,
+    vc_out_vc: Vec<u8>,
     /// Dateline class the packet will use on the next link.
     vc_next_class: Vec<u8>,
     /// Credit count of each output VC (the downstream input buffer).
-    ovc_credits: Vec<u32>,
+    ovc_credits: Vec<u8>,
     /// Flattened input-VC index owning each output VC ([`NONE_IDX`] = free).
-    ovc_owner: Vec<u32>,
+    ovc_owner: Vec<u16>,
     // --- per-port state ---
     masks: Vec<VcMasks>,
+    /// Bit `p`: port `p` buffers a flit (`masks[p].non_empty != 0`).
+    occupied: u32,
+    /// Bit `p`: port `p` has a `Routed` VC (`masks[p].routed != 0`).
+    routed_ports: u32,
     ni: Vec<LocalIface>,
     /// VC-allocation round-robin pointer, flat `va_port * total_vcs + va_vc`.
     va_port: u32,
@@ -240,9 +260,11 @@ impl Router {
             vc_out_port: vec![0; n_vcs],
             vc_out_vc: vec![0; n_vcs],
             vc_next_class: vec![0; n_vcs],
-            ovc_credits: vec![cfg.vc_depth; n_vcs],
+            ovc_credits: vec![cfg.vc_depth as u8; n_vcs],
             ovc_owner: vec![NONE_IDX; n_vcs],
             masks: vec![VcMasks::default(); ports as usize],
+            occupied: 0,
+            routed_ports: 0,
             ni,
             va_port: 0,
             va_vc: 0,
@@ -289,6 +311,7 @@ impl Router {
         let m = &mut self.masks[port as usize];
         m.routed = (m.routed & !(1 << vc)) | (u64::from(state == VcState::Routed) << vc);
         m.active = (m.active & !(1 << vc)) | (u64::from(state == VcState::Active) << vc);
+        self.routed_ports = (self.routed_ports & !(1 << port)) | (u32::from(m.routed != 0) << port);
     }
 
     #[inline]
@@ -313,6 +336,7 @@ impl Router {
         self.vc_ring[idx * depth + slot] = flit;
         self.vc_len[idx] += 1;
         self.masks[port as usize].non_empty |= 1 << vc;
+        self.occupied |= 1 << port;
         self.buffered += 1;
         self.stats.buffer_writes += 1;
     }
@@ -326,7 +350,11 @@ impl Router {
         self.vc_head[idx] = if next < depth { next as u8 } else { 0 };
         self.vc_len[idx] -= 1;
         if self.vc_len[idx] == 0 {
-            self.masks[port as usize].non_empty &= !(1 << vc);
+            let m = &mut self.masks[port as usize];
+            m.non_empty &= !(1 << vc);
+            if m.non_empty == 0 {
+                self.occupied &= !(1 << port);
+            }
         }
         self.buffered -= 1;
         Some(flit)
@@ -416,24 +444,29 @@ impl Router {
     /// Cross-checks this router's internal bookkeeping: credit counts stay
     /// within buffer depth, ring heads and lengths stay within depth, every
     /// owned output VC points at an active input VC, the occupancy masks
-    /// agree with `vc_state` and ring occupancy, and the clock-gating work
-    /// counters agree with the state they summarize.
+    /// agree with `vc_state` and ring occupancy, the port masks with the VC
+    /// masks, and the clock-gating work counters agree with the state they
+    /// summarize.
     pub(crate) fn audit(&self) -> Result<(), String> {
+        let (mut occupied, mut routed_ports) = (0u32, 0u32);
         for port in 0..self.ports {
             let m = self.masks[port as usize];
+            occupied |= u32::from(m.non_empty != 0) << port;
+            routed_ports |= u32::from(m.routed != 0) << port;
             if (m.routed | m.active | m.non_empty) >> (self.total_vcs - 1) > 1 {
                 return Err(format!("router {}: port {port} stray mask bits", self.id));
             }
             for vc in 0..self.total_vcs {
                 let idx = self.ivc_index(port, vc);
-                if self.ovc_credits[idx] > self.vc_depth {
+                if u32::from(self.ovc_credits[idx]) > self.vc_depth {
                     return Err(format!(
                         "router {}: output vc ({port},{vc}) holds {} credits, depth {}",
                         self.id, self.ovc_credits[idx], self.vc_depth
                     ));
                 }
                 let owner = self.ovc_owner[idx];
-                if owner != NONE_IDX && self.vc_state.get(owner as usize) != Some(&VcState::Active)
+                if owner != NONE_IDX
+                    && self.vc_state.get(usize::from(owner)) != Some(&VcState::Active)
                 {
                     return Err(format!(
                         "router {}: output vc ({port},{vc}) owned by non-active input vc {owner}",
@@ -460,6 +493,13 @@ impl Router {
                     ));
                 }
             }
+        }
+        if (self.occupied, self.routed_ports) != (occupied, routed_ports) {
+            return Err(format!(
+                "router {}: port masks disagree with the VC masks: occupied {:#x} \
+                 (expected {occupied:#x}), routed {:#x} (expected {routed_ports:#x})",
+                self.id, self.occupied, self.routed_ports
+            ));
         }
         let buffered: u32 = self.vc_len.iter().map(|&l| u32::from(l)).sum();
         if buffered != self.buffered {
@@ -496,7 +536,7 @@ impl Router {
     #[doc(hidden)]
     pub fn debug_corrupt_credits(&mut self) {
         let idx = self.ivc_index(self.locals, 0);
-        self.ovc_credits[idx] = self.vc_depth + 3;
+        self.ovc_credits[idx] = u8::try_from(self.vc_depth + 3).unwrap_or(u8::MAX);
     }
 
     /// Test hook: flips VC 0's `routed` bit on the first link port, so the
@@ -504,6 +544,13 @@ impl Router {
     #[doc(hidden)]
     pub fn debug_corrupt_masks(&mut self) {
         self.masks[self.locals as usize].routed ^= 1;
+    }
+
+    /// Test hook: flips the first link port's `occupied` bit, so the port
+    /// masks disagree with the VC masks and the next audit fails.
+    #[doc(hidden)]
+    pub fn debug_corrupt_port_masks(&mut self) {
+        self.occupied ^= 1 << self.locals;
     }
 
     /// One cycle: consume wires, run SA/ST (which sends on the links), VA,
@@ -544,7 +591,9 @@ impl Router {
         if arrivals != 0 {
             self.receive(topo, links, arrivals, now);
         }
-        self.inject_from_ni(now);
+        if self.ni_work != 0 {
+            self.inject_from_ni(now);
+        }
         self.switch_allocate_and_traverse(topo, links, now);
         self.vc_allocate();
         self.route_compute(topo);
@@ -574,7 +623,7 @@ impl Router {
                 continue;
             };
             let idx = self.ivc_index(port, u32::from(vc));
-            if self.ovc_credits[idx] >= self.vc_depth {
+            if u32::from(self.ovc_credits[idx]) >= self.vc_depth {
                 self.poison(format!(
                     "credit overflow on router {} port {port} vc {vc}",
                     self.id
@@ -700,13 +749,17 @@ impl Router {
         links: &mut Links<'_>,
         now: u64,
     ) {
-        // Stage 1: each input port nominates its first VC, round-robin from
-        // `sa_vc_ptr`, that is active, holds a flit, and has a downstream
-        // credit (ejection needs none); `requests[o]` collects output `o`'s.
+        // Stage 1: each occupied input port, ascending, nominates its first
+        // VC, round-robin from `sa_vc_ptr`, that is active, holds a flit,
+        // and has a downstream credit (ejection needs none); `requests[o]`
+        // collects output `o`'s.
         let mut nominee = [0u32; MAX_PORTS as usize];
         let mut requests = [0u32; MAX_PORTS as usize];
         let mut requested = 0u32;
-        for port in 0..self.ports {
+        let mut occupied = self.occupied;
+        while occupied != 0 {
+            let port = occupied.trailing_zeros();
+            occupied &= occupied - 1;
             let m = self.masks[port as usize];
             let start = self.sa_vc_ptr[port as usize];
             let mut ready = (m.active & m.non_empty).rotate_right(start);
@@ -714,9 +767,10 @@ impl Router {
                 let vc = (ready.trailing_zeros() + start) & (MAX_VCS - 1);
                 ready &= ready - 1;
                 let idx = self.ivc_index(port, vc);
-                let out_port = self.vc_out_port[idx];
+                let out_port = u32::from(self.vc_out_port[idx]);
                 if out_port >= self.locals
-                    && self.ovc_credits[self.ivc_index(out_port, self.vc_out_vc[idx])] == 0
+                    && self.ovc_credits[self.ivc_index(out_port, u32::from(self.vc_out_vc[idx]))]
+                        == 0
                 {
                     continue;
                 }
@@ -740,7 +794,8 @@ impl Router {
             let vc = nominee[in_port as usize];
             self.sa_vc_ptr[in_port as usize] = if vc + 1 == self.total_vcs { 0 } else { vc + 1 };
             let in_idx = self.ivc_index(in_port, vc);
-            let (out_vc, next_class) = (self.vc_out_vc[in_idx], self.vc_next_class[in_idx]);
+            let (out_vc, next_class) =
+                (u32::from(self.vc_out_vc[in_idx]), self.vc_next_class[in_idx]);
             let Some(mut flit) = self.pop_flit(in_port, vc) else {
                 self.poison(format!(
                     "switch traversal from an empty VC on router {} port {in_port} vc {vc}",
@@ -799,15 +854,23 @@ impl Router {
 
     /// VC allocation: input VCs in `Routed` state claim a free output VC,
     /// in flat round-robin order from the `(va_port, va_vc)` pointer: that
-    /// port's VCs from `va_vc` up, the other ports in turn, then that port's
-    /// VCs below `va_vc`.
+    /// port's VCs from `va_vc` up, the other ports with a routed VC in turn,
+    /// then that port's VCs below `va_vc`. The pointer advances every step,
+    /// whether or not anything was routed.
     fn vc_allocate(&mut self) {
-        let (first, upper) = (self.va_port, u64::MAX << self.va_vc);
-        self.allocate_routed(first, upper);
-        for port in (first + 1..self.ports).chain(0..first) {
-            self.allocate_routed(port, u64::MAX);
+        if self.routed_ports != 0 {
+            let (first, upper) = (self.va_port, u64::MAX << self.va_vc);
+            self.allocate_routed(first, upper);
+            // Ports `first + 1..` then `..first`: rotated right by
+            // `first + 1`, they are the ascending set bits (as in SA stage 2).
+            let mut rest = (self.routed_ports & !(1 << first)).rotate_right(first + 1);
+            while rest != 0 {
+                let port = (rest.trailing_zeros() + first + 1) & (MAX_PORTS - 1);
+                rest &= rest - 1;
+                self.allocate_routed(port, u64::MAX);
+            }
+            self.allocate_routed(first, !upper);
         }
-        self.allocate_routed(first, !upper);
         self.va_vc += 1;
         if self.va_vc == self.total_vcs {
             self.va_vc = 0;
@@ -836,15 +899,15 @@ impl Router {
             };
             debug_assert!(head.kind.is_head());
             let (out_port, vnet, next_class, route_hint) = (
-                self.vc_out_port[idx],
+                u32::from(self.vc_out_port[idx]),
                 u32::from(head.vnet),
                 self.vc_next_class[idx],
                 head.route_hint,
             );
             if let Some(out_vc) = self.pick_output_vc(out_port, vnet, next_class, route_hint) {
                 let out_idx = self.ivc_index(out_port, out_vc);
-                self.ovc_owner[out_idx] = idx as u32;
-                self.vc_out_vc[idx] = out_vc;
+                self.ovc_owner[out_idx] = idx as u16;
+                self.vc_out_vc[idx] = out_vc as u8;
                 self.set_state(port, vc, VcState::Active);
                 self.stats.vc_allocs += 1;
             }
@@ -880,10 +943,13 @@ impl Router {
         })
     }
 
-    /// Route computation for head flits at the front of idle VCs, ports
-    /// and VCs ascending.
+    /// Route computation for head flits at the front of idle VCs, occupied
+    /// ports and VCs ascending.
     fn route_compute(&mut self, topo: &TopologyMap) {
-        for port in 0..self.ports {
+        let mut occupied = self.occupied;
+        while occupied != 0 {
+            let port = occupied.trailing_zeros();
+            occupied &= occupied - 1;
             let m = self.masks[port as usize];
             let mut waiting = m.non_empty & !(m.routed | m.active);
             while waiting != 0 {
@@ -934,7 +1000,7 @@ impl Router {
                 } else {
                     0
                 };
-                self.vc_out_port[idx] = decision.out_port;
+                self.vc_out_port[idx] = decision.out_port as u8;
                 self.vc_next_class[idx] = next_class;
                 self.set_state(port, vc, VcState::Routed);
             }
@@ -1125,6 +1191,14 @@ mod tests {
         let err = drifted.audit().unwrap_err();
         assert!(
             err.contains("masks disagree"),
+            "unexpected audit message: {err}"
+        );
+        // A stale `occupied` bit on a port with nothing buffered.
+        let mut stale = r.clone();
+        stale.debug_corrupt_port_masks();
+        let err = stale.audit().unwrap_err();
+        assert!(
+            err.contains("port masks disagree"),
             "unexpected audit message: {err}"
         );
         r.debug_corrupt_credits();

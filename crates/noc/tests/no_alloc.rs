@@ -7,8 +7,13 @@
 //! drain buffer), then the identical pattern continues and the test
 //! asserts that **zero** further allocations happen: `Router::step` (whose
 //! switch traversal writes the links and marks the receivers' arrival
-//! words) and the per-cycle network bookkeeping run entirely out of reused
-//! scratch storage.
+//! words) and the per-batch network bookkeeping run entirely out of reused
+//! scratch storage. The pattern runs once a cycle at a time through `step`
+//! and once a window at a time through `tick`, whose batches cover up to 64
+//! cycles. A batch's events (a few dozen here) are ordered by the standard
+//! library's stable sort, which sorts up to 256 of them in a stack buffer;
+//! a batch with more delivery or net-start events than that takes one heap
+//! buffer per sort.
 //!
 //! Everything lives in one `#[test]` because the allocation counter is
 //! process-global: a second test running concurrently on another harness
@@ -67,7 +72,32 @@ fn drive(net: &mut NocNetwork, out: &mut Vec<Delivery>, next_id: &mut u64, cycle
     }
 }
 
-fn measure(gating: bool) -> u64 {
+/// The same pattern the way a co-simulation quantum drives the network:
+/// each 100-cycle window's messages are injected ahead at their own cycles,
+/// then one `tick` runs the window in batches of up to 64 cycles, each
+/// settled with a stable sort of its cycle-stamped events.
+fn drive_windows(net: &mut NocNetwork, out: &mut Vec<Delivery>, next_id: &mut u64, cycles: u64) {
+    const WINDOW: u64 = 100;
+    for _ in 0..cycles / WINDOW {
+        let start = net.next_cycle();
+        for now in (start..start + WINDOW).filter(|now| now.is_multiple_of(5)) {
+            for (src, dst) in [(0u32, 15u32), (3, 12), (5, 10)] {
+                net.inject(
+                    NetMessage::new(*next_id, NodeId(src), NodeId(dst), MessageClass::Request, 32),
+                    Cycle(now),
+                );
+                *next_id += 1;
+            }
+        }
+        net.tick(Cycle(start + WINDOW - 1));
+        net.drain_delivered_into(out);
+        out.clear();
+    }
+}
+
+type Driver = fn(&mut NocNetwork, &mut Vec<Delivery>, &mut u64, u64);
+
+fn measure(gating: bool, drive: Driver) -> u64 {
     let cfg = NocConfig::new(4, 4).with_clock_gating(gating);
     let mut net = NocNetwork::new(cfg).unwrap();
     let mut out = Vec::new();
@@ -111,14 +141,17 @@ fn measure_observed() -> u64 {
 #[test]
 fn steady_state_stepping_allocates_nothing() {
     // Gating off: every router steps every cycle — the full scratch-reuse
-    // surface. Gating on: the active-set path (liveness sweep + wake
-    // bookkeeping) must be allocation-free too.
+    // surface. Gating on: the liveness tests and wake bookkeeping must be
+    // allocation-free too. Each both one cycle at a time (`step`) and in
+    // windows (`tick`'s multi-cycle batches and fast-forwards).
     for gating in [false, true] {
-        let allocs = measure(gating);
-        assert_eq!(
-            allocs, 0,
-            "steady-state cycle allocated {allocs} times (gating: {gating})"
-        );
+        for (name, drive) in [("step", drive as Driver), ("tick", drive_windows)] {
+            let allocs = measure(gating, drive);
+            assert_eq!(
+                allocs, 0,
+                "steady-state {name} allocated {allocs} times (gating: {gating})"
+            );
+        }
     }
     // With the observability sink enabled the steady state must stay clean:
     // the per-cycle path never consults the sink, and the per-window events
