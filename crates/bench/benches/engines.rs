@@ -1,7 +1,7 @@
 //! F6 — Parallel NoC engine self-speedup vs worker count and network size.
 //!
 //! Criterion bench comparing the serial cycle engine against the
-//! bulk-synchronous worker pool for growing mesh sizes under uniform load.
+//! bulk-synchronous parallel engine for growing mesh sizes under uniform load.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ra_gpu::ParallelEngine;

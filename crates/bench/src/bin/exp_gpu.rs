@@ -16,7 +16,7 @@
 //!    units). Small networks amortize the launch poorly; big ones win —
 //!    the same shape the paper measured on a real GPU.
 //! 3. **Host-parallel check.** When the host has more than one core, the
-//!    worker-pool engine is also run for a wall-clock-measured reduction.
+//!    parallel engine is also run for a wall-clock-measured reduction.
 //!
 //! `--json` emits the rows as a JSON array (the CI bench-smoke artifact);
 //! `--cores 256,512` restricts the sweep; `--trace-out t.jsonl` streams

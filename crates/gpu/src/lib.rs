@@ -4,30 +4,30 @@
 //! router state lives in device memory and every simulated cycle is a
 //! bulk-synchronous data-parallel kernel launch. This crate reproduces that
 //! execution structure on host threads (see DESIGN.md for the substitution
-//! argument): a persistent worker pool steps all live routers of a cycle in
-//! parallel, each worker a contiguous router range, hits a barrier, and
-//! proceeds straight into the next cycle of the batch — exactly a
-//! multi-cycle kernel-launch/sync cadence.
+//! argument): each batch of cycles opens a thread scope whose workers, the
+//! calling thread among them, step the live routers of a cycle in parallel,
+//! each a contiguous router range, cross a barrier, and proceed straight into
+//! the next cycle of the batch — a multi-cycle kernel-launch/sync cadence.
 //!
 //! Because [`ra_noc::Router::step`] reads only the wire bank of cycle
 //! `c - L`, writes only router-local state and the router's own wires in
 //! the bank of cycle `c`, and marks only arrival slot `(c + L) % P`, the
 //! routers of one cycle cannot observe each other, and the parallel
 //! schedule produces **bit-identical results** to the serial engine (tested
-//! here and in the workspace integration tests).
+//! here and in the workspace integration tests). The workers reach routers
+//! and wires through safe borrows only: each holds the `&mut` sub-slice of
+//! its own routers, and all share the network's atomic wire slots and
+//! arrival words ([`ra_noc::Wires::links`]).
 //!
-//! # Batched cycles and fused barriers
+//! # Batched cycles
 //!
-//! Driving one cycle costs two full-pool rendezvous (start, end). The
-//! engine therefore executes up to [`MAX_BATCH_CYCLES`] cycles per job, as
-//! the serial engine does: the coordinator crosses only the start and end
-//! barriers of a batch, and between cycles the workers synchronize among
-//! themselves on one cheaper worker-only barrier — the end-of-cycle and
-//! start-of-next-cycle rendezvous fuse into one. Injections coming due
-//! inside a batch are handed out up front ([`ra_noc::ReleasedInjection`])
-//! and applied by the owning worker at the right cycle, and delivery events
-//! are cycle-stamped and merged afterwards in exactly the serial order
-//! ([`NocNetwork::finish_batch`]).
+//! Starting and joining the workers costs a thread spawn and join each. The
+//! engine therefore executes up to [`MAX_BATCH_CYCLES`] cycles per scope, as
+//! the serial engine does, and between cycles the workers synchronize on
+//! one barrier. Injections coming due inside a batch are handed out up
+//! front ([`ra_noc::ReleasedInjection`]) and applied by the owning worker at
+//! the right cycle, and delivery events are cycle-stamped and merged
+//! afterwards in exactly the serial order ([`NocNetwork::finish_batch`]).
 //!
 //! # Clock gating and load balancing
 //!
@@ -35,7 +35,7 @@
 //! [`step_range`], over its range, so it applies the same liveness
 //! predicate ([`EngineParts::router_live`]) and a mostly-idle mesh costs a
 //! liveness check per router instead of a full pipeline step. Because live
-//! routers may cluster (one busy corner of the mesh), the coordinator
+//! routers may cluster (one busy corner of the mesh), the engine
 //! re-partitions the contiguous router ranges at every batch boundary,
 //! weighting live routers heavier than idle ones.
 //!
@@ -57,17 +57,17 @@
 //! # Ok::<(), ra_sim::ConfigError>(())
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+#![forbid(unsafe_code)]
 
-use parking_lot::RwLock;
-use ra_obs::{Event, ObsSink};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
+
 use ra_noc::{
-    step_range, Arrivals, Credit, EngineParts, Flit, Links, NocNetwork, ReleasedInjection, Ring,
-    Router, Slot, TopologyMap, MAX_BATCH_CYCLES,
+    step_range, Arrivals, EngineParts, NocNetwork, ReleasedInjection, Router, TopologyMap, Wires,
+    MAX_BATCH_CYCLES,
 };
+use ra_obs::{Event, ObsSink};
 use ra_sim::SimError;
 
 /// Relative cost of stepping a live router vs. liveness-checking an idle
@@ -79,13 +79,13 @@ const LIVE_WEIGHT: u64 = 16;
 /// of one worker's share of a 256-router mesh.
 const SPIN_POLLS: u32 = 1024;
 
-/// The worker-only barrier inside a batch. Its parties are workers that
+/// The barrier between the cycles of a batch. Its parties are workers that
 /// each just finished a cycle of similar size, so the last one is usually
 /// microseconds away: waiters poll before they park, and a crossing then
 /// costs no futex wake-up, which on a VM is an inter-processor interrupt
-/// whose latency follows the host's load. The batch's start and end
-/// barriers, which the coordinator joins, stay `std` ones, so a parked
-/// coordinator never spins against its own workers.
+/// whose latency follows the host's load. A batch's start and end are the
+/// scope's spawn and join, which no worker spins on.
+#[derive(Debug)]
 struct SpinBarrier {
     parties: usize,
     arrived: AtomicUsize,
@@ -140,91 +140,73 @@ impl SpinBarrier {
     }
 }
 
-/// A snapshot of the raw pointers a batch's phases operate on.
-///
-/// Written by the coordinating thread before the start barrier of each
-/// batch; read by workers strictly between the start and end barriers, while
-/// the coordinator is blocked — that barrier discipline is what makes the
-/// aliasing sound.
-#[derive(Clone, Copy)]
-struct Job {
-    routers: *mut Router,
-    topo: *const TopologyMap,
-    /// The wires' slot-major flit and credit arrays, and their bank layout.
-    flits: *mut Slot<Flit>,
-    credits: *mut Slot<Credit>,
-    ring: Option<Ring>,
-    /// Per-router arrival words (atomics: any worker may mark any router).
-    arrivals: *const Arrivals,
+/// What every worker of one batch shares: the network's read-only and
+/// atomic parts, the batch's schedule, and what the workers report back.
+struct Batch<'a> {
+    topo: &'a TopologyMap,
+    wires: &'a Wires,
+    arrivals: &'a Arrivals,
+    /// Injections coming due inside the batch, sorted by `(cycle, order)`.
+    releases: &'a [ReleasedInjection],
     /// First cycle of the batch.
     t0: u64,
     /// Cycles in the batch (1..=[`MAX_BATCH_CYCLES`]).
     cycles: u64,
     gating: bool,
-    /// `workers + 1` cumulative range bounds (worker `w` owns
-    /// `bounds[w]..bounds[w+1]`).
-    bounds: *const u32,
-    /// Injections coming due inside the batch, sorted by `(cycle, order)`.
-    releases: *const ReleasedInjection,
-    n_releases: usize,
-}
-
-impl Job {
-    const fn empty() -> Self {
-        Job {
-            routers: std::ptr::null_mut(),
-            topo: std::ptr::null(),
-            flits: std::ptr::null_mut(),
-            credits: std::ptr::null_mut(),
-            ring: None,
-            arrivals: std::ptr::null(),
-            t0: 0,
-            cycles: 0,
-            gating: false,
-            bounds: std::ptr::null(),
-            releases: std::ptr::null(),
-            n_releases: 0,
-        }
-    }
-}
-
-// SAFETY: the pointers are only dereferenced by workers between the start
-// and end barriers of a batch, while the owning &mut NocNetwork (and the
-// engine's bounds/releases buffers) are pinned on the coordinating thread
-// inside `run_batch`. Each worker mutates a disjoint router range. In cycle
-// `c` the wire slots split by bank: every worker shares read bank
-// `(c - L) % P`, which nobody writes in `c`, and each writes only its own
-// router range of write bank `c % P`, disjoint from the other workers' and
-// distinct from the read bank for `L >= 1`. The write bank of `c + 1` is the
-// read bank of `c`, so the worker-only barrier between cycles is what keeps
-// a fast worker's writes from reaching a slow worker's reads. The arrival
-// words are only touched through atomics: in cycle `c` a worker takes
-// (loads and zeroes) slot `c % P` of its own routers only, and the sends of
-// `c` `fetch_or` into slot `(c + L) % P` of any router, which differs for
-// `L >= 1` and which nobody reads or clears before cycle `c + L`, at least
-// one barrier later. topo, bounds, and releases are read-only.
-unsafe impl Send for Job {}
-unsafe impl Sync for Job {}
-
-struct SharedState {
-    /// Batch start rendezvous: all workers + the coordinator.
-    start: Barrier,
-    /// Batch end rendezvous: all workers + the coordinator.
-    end: Barrier,
-    /// Rendezvous between batch cycles: workers only. This is the fusion:
-    /// the coordinator never joins it, so consecutive cycles of a batch
-    /// cost one worker-only barrier instead of a full end + start pair.
-    boundary: SpinBarrier,
-    job: RwLock<Job>,
+    barrier: &'a SpinBarrier,
     /// Bit `c` set = some router moved a flit in the batch's `c`-th cycle
     /// (ORed in by workers, consumed by `finish_batch`).
     active_bits: AtomicU64,
-    shutdown: AtomicBool,
-    /// First panic caught inside a worker phase this batch, as
-    /// `(worker index, panic payload)`. Workers always reach their
-    /// barriers even after a panic, so the coordinator can harvest the
-    /// fault instead of deadlocking on a dead thread.
-    fault: RwLock<Option<(usize, String)>>,
+    /// First panic caught inside a worker this batch, as
+    /// `(worker index, panic payload)`.
+    fault: Mutex<Option<(usize, String)>>,
+}
+
+impl Batch<'_> {
+    /// Worker `worker`'s share of the batch: every cycle, the injections
+    /// coming due in its range, one [`step_range`] pass over `routers`
+    /// (router `first` on), then the barrier. A panic inside a router step
+    /// (a model bug, or an injected test fault) is caught and recorded, and
+    /// the worker skips its remaining cycle bodies but keeps crossing the
+    /// barrier, so the others never wait on it forever.
+    fn work(&self, worker: usize, first: usize, routers: &mut [Router]) {
+        let own = first..first + routers.len();
+        let mut due = self.releases.iter().peekable();
+        let mut dead = false;
+        let end = self.t0 + self.cycles;
+        for c in self.t0..end {
+            if !dead {
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    while let Some(rel) = due.next_if(|rel| rel.cycle <= c) {
+                        if own.contains(&(rel.router as usize)) {
+                            routers[rel.router as usize - first].apply_release(rel);
+                        }
+                    }
+                    let pass = step_range(
+                        self.topo,
+                        routers,
+                        first,
+                        &self.wires.links(c, self.arrivals, own.clone(), true),
+                        self.arrivals,
+                        self.gating,
+                        c,
+                    );
+                    if pass.moved {
+                        self.active_bits
+                            .fetch_or(1 << (c - self.t0), Ordering::Relaxed);
+                    }
+                }));
+                if let Err(payload) = result {
+                    let mut slot = self.fault.lock().unwrap_or_else(PoisonError::into_inner);
+                    slot.get_or_insert_with(|| (worker, panic_message(payload.as_ref())));
+                    dead = true;
+                }
+            }
+            if c + 1 < end {
+                self.barrier.wait();
+            }
+        }
+    }
 }
 
 /// The contiguous router range worker `w` of `n` owns under a uniform
@@ -278,65 +260,42 @@ fn compute_bounds(parts: &EngineParts<'_>, workers: usize, bounds: &mut Vec<u32>
     bounds[workers] = n as u32;
 }
 
-/// A persistent bulk-synchronous worker pool executing NoC cycles.
+/// A bulk-synchronous engine executing NoC cycles on `workers` threads.
 ///
-/// Construction spawns the pool; dropping the engine shuts it down. One
+/// Each batch of cycles runs in its own [`std::thread::scope`]: the calling
+/// thread is worker 0 and `workers - 1` scoped threads take the other
+/// router ranges, so no thread outlives the call that drives it. One
 /// engine can drive many networks over its lifetime (only one at a time).
+#[derive(Debug)]
 pub struct ParallelEngine {
-    shared: Arc<SharedState>,
-    handles: Vec<JoinHandle<()>>,
     workers: usize,
-    /// Range bounds of the current batch (pinned while workers run).
+    /// The barrier the workers cross between a batch's cycles.
+    barrier: SpinBarrier,
+    /// Range bounds of the current batch (reused across batches).
     bounds: Vec<u32>,
-    /// Releases of the current batch (pinned while workers run).
+    /// Releases of the current batch (reused across batches).
     releases: Vec<ReleasedInjection>,
     /// Observability sink; disabled by default. When enabled, each batch
-    /// emits one [`Event::EngineBatch`] with its range cuts and the
-    /// coordinator's barrier wait (the batch's wall-clock on the pool).
+    /// emits one [`Event::EngineBatch`] with its range cuts and its
+    /// wall-clock from opening the scope to joining it.
     sink: ObsSink,
 }
 
-impl std::fmt::Debug for ParallelEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelEngine")
-            .field("workers", &self.workers)
-            .finish()
-    }
-}
-
 impl ParallelEngine {
-    /// Spawns a pool of `workers` threads (at least 1).
+    /// An engine that steps each cycle on `workers` threads (at least 1),
+    /// the calling thread included.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let shared = Arc::new(SharedState {
-            start: Barrier::new(workers + 1),
-            end: Barrier::new(workers + 1),
-            boundary: SpinBarrier::new(workers),
-            job: RwLock::new(Job::empty()),
-            active_bits: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            fault: RwLock::new(None),
-        });
-        let handles = (0..workers)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("noc-worker-{w}"))
-                    .spawn(move || worker_loop(w, &shared))
-                    .expect("spawn NoC worker")
-            })
-            .collect();
         ParallelEngine {
-            shared,
-            handles,
             workers,
+            barrier: SpinBarrier::new(workers),
             bounds: Vec::new(),
             releases: Vec::new(),
             sink: ObsSink::disabled(),
         }
     }
 
-    /// Number of worker threads in the pool.
+    /// Number of workers, the calling thread included.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -347,62 +306,59 @@ impl ParallelEngine {
         self.sink = sink;
     }
 
-    /// Executes exactly one cycle of `net` on the pool.
+    /// Executes exactly one cycle of `net`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Fault`] if a worker thread panicked while
-    /// executing a router phase. The pool itself survives (panics are
-    /// caught inside the workers, which still reach every barrier), so the
-    /// engine remains usable — but the network that was being stepped must
-    /// be considered corrupt and rebuilt by the caller.
+    /// Returns [`SimError::Fault`] if a router step panicked on a worker.
+    /// The panic is caught inside the worker, which still crosses every
+    /// barrier, so the engine remains usable — but the network that was
+    /// being stepped must be considered corrupt and rebuilt by the caller.
     pub fn run_cycle(&mut self, net: &mut NocNetwork) -> Result<(), SimError> {
         self.run_batch(net, 1)
     }
 
-    /// Executes `cycles` consecutive cycles (1..=[`MAX_BATCH_CYCLES`]) as
-    /// one batched job.
+    /// Executes `cycles` consecutive cycles (1..=[`MAX_BATCH_CYCLES`]) in
+    /// one thread scope.
     fn run_batch(&mut self, net: &mut NocNetwork, cycles: u64) -> Result<(), SimError> {
         debug_assert!((1..=MAX_BATCH_CYCLES).contains(&cycles));
         let t0 = net.next_cycle();
-        let mut barrier_wait_ns = 0u64;
-        {
-            let parts = net.begin_batch(cycles, &mut self.releases);
-            compute_bounds(&parts, self.workers, &mut self.bounds);
-            let (flits, credits, ring) = parts.wires.raw_parts();
-            let job = Job {
-                routers: parts.routers.as_mut_ptr(),
-                topo: parts.topo,
-                flits,
-                credits,
-                ring: Some(ring),
-                arrivals: parts.arrivals,
-                t0: parts.now,
-                cycles,
-                gating: parts.gating,
-                bounds: self.bounds.as_ptr(),
-                releases: self.releases.as_ptr(),
-                n_releases: self.releases.len(),
-            };
-            self.shared.active_bits.store(0, Ordering::SeqCst);
-            *self.shared.job.write() = job;
-            let timer = self.sink.enabled().then(std::time::Instant::now);
-            self.shared.start.wait();
-            // Workers run all `cycles` cycles back to back while we wait.
-            self.shared.end.wait();
-            if let Some(t) = timer {
-                barrier_wait_ns = t.elapsed().as_nanos() as u64;
+        let parts = net.begin_batch(cycles, &mut self.releases);
+        compute_bounds(&parts, self.workers, &mut self.bounds);
+        let batch = Batch {
+            topo: parts.topo,
+            wires: parts.wires,
+            arrivals: parts.arrivals,
+            releases: &self.releases,
+            t0,
+            cycles,
+            gating: parts.gating,
+            barrier: &self.barrier,
+            active_bits: AtomicU64::new(0),
+            fault: Mutex::new(None),
+        };
+        let bounds = &self.bounds;
+        let (own, mut rest) = parts.routers.split_at_mut(bounds[1] as usize);
+        let timer = self.sink.enabled().then(std::time::Instant::now);
+        std::thread::scope(|scope| {
+            for w in 1..self.workers {
+                let (lo, hi) = (bounds[w] as usize, bounds[w + 1] as usize);
+                let (range, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+                rest = tail;
+                let batch = &batch;
+                scope.spawn(move || batch.work(w, lo, range));
             }
-        }
-        let active_bits = self.shared.active_bits.load(Ordering::SeqCst);
-        if let Some((worker, detail)) = self.shared.fault.write().take() {
+            batch.work(0, 0, own);
+        });
+        let barrier_wait_ns = timer.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let (active_bits, fault) = (batch.active_bits.into_inner(), batch.fault.into_inner());
+        if let Some((worker, detail)) = fault.unwrap_or_else(PoisonError::into_inner) {
             return Err(SimError::Fault {
                 component: format!("noc-worker-{worker}"),
                 detail,
             });
         }
         net.finish_batch(cycles, active_bits);
-        let bounds = &self.bounds;
         let releases = self.releases.len() as u64;
         self.sink.emit(|| {
             let ranges = bounds.windows(2).map(|w| u64::from(w[1] - w[0]));
@@ -421,7 +377,7 @@ impl ParallelEngine {
 
     /// Runs exactly `cycles` consecutive cycles, batching up to
     /// [`MAX_BATCH_CYCLES`] at a time and fast-forwarding provably idle
-    /// stretches without touching the pool at all.
+    /// stretches without starting any worker.
     ///
     /// # Errors
     ///
@@ -468,18 +424,6 @@ impl ParallelEngine {
     }
 }
 
-impl Drop for ParallelEngine {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Release the workers from the start barrier so they can observe
-        // the shutdown flag and exit.
-        self.shared.start.wait();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// Renders a caught panic payload into a displayable string.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -488,103 +432,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// One batch cycle over `lo..hi`: apply the injections coming due, make the
-/// [`step_range`] pass the serial engine makes, and OR the cycle's activity
-/// bit.
-///
-/// # Safety
-///
-/// Must run between the batch's start and end barriers, one barrier after
-/// the previous cycle, with `lo..hi` inside the job's routers and disjoint
-/// from every other worker's range (see the `Job` safety comment).
-unsafe fn step_cycle(
-    job: &Job,
-    shared: &SharedState,
-    lo: usize,
-    hi: usize,
-    c: u64,
-    rel_idx: &mut usize,
-) {
-    while *rel_idx < job.n_releases {
-        let rel = &*job.releases.add(*rel_idx);
-        if rel.cycle > c {
-            break;
-        }
-        let r = rel.router as usize;
-        if r >= lo && r < hi {
-            (*job.routers.add(r)).apply_release(rel);
-        }
-        *rel_idx += 1;
-    }
-    let topo = &*job.topo;
-    let arrivals = &*job.arrivals;
-    let ring = job.ring.expect("a batch's job carries its wires");
-    let (n, first) = (ring.wires, lo * ring.ports);
-    let (read, write) = (ring.read_bank(c) * n, ring.write_bank(c) * n + first);
-    let len = (hi - lo) * ring.ports;
-    let mut links = Links::shared(
-        std::slice::from_raw_parts(job.flits.add(read), n),
-        std::slice::from_raw_parts(job.credits.add(read), n),
-        std::slice::from_raw_parts_mut(job.flits.add(write), len),
-        std::slice::from_raw_parts_mut(job.credits.add(write), len),
-        first,
-        arrivals,
-        c,
-    );
-    let routers = std::slice::from_raw_parts_mut(job.routers.add(lo), hi - lo);
-    let pass = step_range(topo, routers, lo, &mut links, arrivals, job.gating, c);
-    if pass.moved {
-        shared
-            .active_bits
-            .fetch_or(1 << (c - job.t0), Ordering::Relaxed);
-    }
-}
-
-fn worker_loop(worker: usize, shared: &SharedState) {
-    loop {
-        shared.start.wait();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let job = *shared.job.read();
-        // SAFETY: `bounds` holds workers + 1 entries and is pinned by the
-        // coordinator for the whole batch.
-        let (lo, hi) = unsafe {
-            (
-                *job.bounds.add(worker) as usize,
-                *job.bounds.add(worker + 1) as usize,
-            )
-        };
-        let mut rel_idx = 0usize;
-        // Panics inside router steps (a model bug, or an injected test
-        // fault) must not kill the worker: a dead thread would deadlock the
-        // pool at the next barrier. Catch the panic, record the first one
-        // in the shared fault slot, skip the remaining cycle bodies, and
-        // keep the full barrier cadence intact.
-        let mut dead = false;
-        for c in job.t0..job.t0 + job.cycles {
-            if !dead {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    // SAFETY: between start and end barriers, one boundary
-                    // barrier after cycle `c - 1`, disjoint range.
-                    unsafe { step_cycle(&job, shared, lo, hi, c, &mut rel_idx) }
-                }));
-                if let Err(payload) = result {
-                    let mut slot = shared.fault.write();
-                    if slot.is_none() {
-                        *slot = Some((worker, panic_message(payload.as_ref())));
-                    }
-                    dead = true;
-                }
-            }
-            if c + 1 < job.t0 + job.cycles {
-                shared.boundary.wait();
-            }
-        }
-        shared.end.wait();
     }
 }
 
@@ -775,95 +622,102 @@ mod tests {
     }
 
     #[test]
-    fn drop_joins_cleanly() {
-        let engine = ParallelEngine::new(4);
-        drop(engine); // must not hang or panic
-    }
-
-    #[test]
     fn spin_barrier_publishes_every_round_spinning_or_parked() {
         // Each party writes its round number, crosses, and must then see
         // every party's write. Party 0 sleeps past the spin window on
         // some rounds, so the others park there and must be woken.
         const PARTIES: usize = 3;
         const ROUNDS: u64 = 200;
-        let barrier = Arc::new(SpinBarrier::new(PARTIES));
-        let slots: Arc<Vec<AtomicU64>> =
-            Arc::new((0..PARTIES).map(|_| AtomicU64::new(0)).collect());
-        let handles: Vec<_> = (0..PARTIES)
-            .map(|me| {
-                let (barrier, slots) = (Arc::clone(&barrier), Arc::clone(&slots));
-                std::thread::spawn(move || {
+        let barrier = SpinBarrier::new(PARTIES);
+        let slots: Vec<AtomicU64> = (0..PARTIES).map(|_| AtomicU64::new(0)).collect();
+        std::thread::scope(|scope| {
+            for me in 0..PARTIES {
+                let (barrier, slots) = (&barrier, &slots);
+                scope.spawn(move || {
                     for round in 1..=ROUNDS {
                         if me == 0 && round % 20 == 0 {
                             std::thread::sleep(std::time::Duration::from_millis(2));
                         }
                         slots[me].store(round, Ordering::Relaxed);
                         barrier.wait();
-                        for slot in slots.iter() {
+                        for slot in slots {
                             assert_eq!(slot.load(Ordering::Relaxed), round);
                         }
                         barrier.wait();
                     }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("no party panicked");
+                });
+            }
+        });
+    }
+
+    /// A router panic in the caller's range (worker 0) or in the last
+    /// worker's surfaces as a fault naming that worker, in a one-cycle
+    /// batch and in a 64-cycle one whose other cycles the dead worker must
+    /// still cross the barrier for; the engine then drives a fresh network
+    /// to completion.
+    #[test]
+    fn router_panic_surfaces_as_fault_and_engine_stays_usable() {
+        use ra_sim::{MessageClass, NetMessage, NodeId, SimError};
+        let fresh = |gating: bool| {
+            let mut net = NocNetwork::new(NocConfig::new(4, 4).with_clock_gating(gating)).unwrap();
+            net.inject(
+                NetMessage::new(0, NodeId(0), NodeId(15), MessageClass::Request, 8),
+                Cycle(0),
+            );
+            net
+        };
+        let mut engine = ParallelEngine::new(3);
+        // Gating off splits uniformly: routers 0..6 are the caller's and
+        // 11..16 the last worker's.
+        for (router, worker) in [(0, 0), (15, 2)] {
+            for cycles in [1, MAX_BATCH_CYCLES] {
+                let mut net = fresh(false);
+                net.debug_router_mut(router).debug_force_panic();
+                let err = engine.run_cycles(&mut net, cycles).unwrap_err();
+                let SimError::Fault { component, detail } = &err else {
+                    panic!("expected Fault, got {err:?}");
+                };
+                assert_eq!(
+                    component,
+                    &format!("noc-worker-{worker}"),
+                    "{cycles} cycles"
+                );
+                assert!(detail.contains(&format!("router {router}")), "got {detail}");
+
+                let mut net = fresh(true);
+                engine.run_until_drained(&mut net, 10_000).unwrap();
+                assert_eq!(net.stats().delivered, 1);
+            }
         }
     }
 
+    /// Six workers on four routers: the surplus workers get empty ranges
+    /// and still cross every barrier, and windows of `run_cycles` give the
+    /// serial tick's statistics exactly.
     #[test]
-    fn worker_panic_surfaces_as_fault_and_pool_survives() {
-        use ra_sim::{MessageClass, NetMessage, NodeId, SimError};
-        let mut engine = ParallelEngine::new(3);
-
-        let mut net = NocNetwork::new(NocConfig::new(4, 4)).unwrap();
-        net.inject(
-            NetMessage::new(0, NodeId(0), NodeId(15), MessageClass::Request, 8),
-            Cycle(0),
-        );
-        net.debug_router_mut(7).debug_force_panic();
-        let err = engine.run_cycle(&mut net).unwrap_err();
-        let SimError::Fault { component, detail } = &err else {
-            panic!("expected Fault, got {err:?}");
-        };
-        assert!(component.starts_with("noc-worker-"), "got {component}");
-        assert!(detail.contains("router 7"), "got {detail}");
-
-        // The pool must survive the panic: a fresh network runs to
-        // completion on the same engine.
-        let mut net = NocNetwork::new(NocConfig::new(4, 4)).unwrap();
-        net.inject(
-            NetMessage::new(0, NodeId(0), NodeId(15), MessageClass::Request, 8),
-            Cycle(0),
-        );
-        engine.run_until_drained(&mut net, 10_000).unwrap();
-        assert_eq!(net.stats().delivered, 1);
-    }
-
-    #[test]
-    fn worker_panic_mid_batch_keeps_pool_alive() {
-        use ra_sim::{MessageClass, NetMessage, NodeId, SimError};
-        let mut engine = ParallelEngine::new(4);
-        let mut net = NocNetwork::new(NocConfig::new(4, 4)).unwrap();
-        net.inject(
-            NetMessage::new(0, NodeId(0), NodeId(15), MessageClass::Request, 8),
-            Cycle(0),
-        );
-        net.debug_router_mut(3).debug_force_panic();
-        // A full 64-cycle batch: the panic hits in cycle 0, the worker must
-        // keep the barrier cadence for the remaining 63 cycles.
-        let err = engine.run_cycles(&mut net, 64).unwrap_err();
-        assert!(matches!(err, SimError::Fault { .. }), "got {err:?}");
-        drop(net);
-
-        let mut net = NocNetwork::new(NocConfig::new(4, 4)).unwrap();
-        net.inject(
-            NetMessage::new(0, NodeId(0), NodeId(15), MessageClass::Request, 8),
-            Cycle(0),
-        );
-        engine.run_until_drained(&mut net, 10_000).unwrap();
-        assert_eq!(net.stats().delivered, 1);
+    fn surplus_workers_match_the_serial_tick() {
+        fn run(mut engine: Option<ParallelEngine>) -> ra_noc::NocStats {
+            const WINDOW: u64 = 100;
+            let mut net = NocNetwork::new(NocConfig::new(2, 2).with_seed(4)).unwrap();
+            let mut gen = TrafficGen::new(
+                2,
+                2,
+                TrafficPattern::Uniform,
+                InjectionProcess::Bernoulli { rate: 0.1 },
+                5,
+            );
+            for t0 in (0..2_000u64).step_by(WINDOW as usize) {
+                for now in t0..t0 + WINDOW {
+                    gen.inject_cycle(&mut net, Cycle(now));
+                }
+                match engine.as_mut() {
+                    Some(e) => e.run_cycles(&mut net, WINDOW).unwrap(),
+                    None => net.tick(Cycle(t0 + WINDOW - 1)),
+                }
+            }
+            assert!(net.stats().delivered > 0);
+            net.stats().clone()
+        }
+        assert_eq!(run(Some(ParallelEngine::new(6))), run(None));
     }
 }

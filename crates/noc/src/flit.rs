@@ -31,6 +31,17 @@ impl FlitKind {
     pub const fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::HeadTail)
     }
+
+    /// The kind whose discriminant is `bits % 4`.
+    #[inline]
+    const fn from_bits(bits: u32) -> Self {
+        match bits & 3 {
+            0 => FlitKind::Head,
+            1 => FlitKind::Body,
+            2 => FlitKind::Tail,
+            _ => FlitKind::HeadTail,
+        }
+    }
 }
 
 /// One flit travelling through the network.
@@ -57,6 +68,38 @@ pub struct Flit {
     pub class_bit: u8,
     /// O1TURN dimension-order choice (0 = XY, 1 = YX), fixed at injection.
     pub route_hint: u8,
+}
+
+impl Flit {
+    /// The flit as the three words a wire slot carries.
+    #[inline]
+    pub(crate) fn to_words(self) -> [u32; 3] {
+        [
+            self.pkt,
+            u32::from(self.dst_router)
+                | u32::from(self.dst_local) << 16
+                | u32::from(self.vnet) << 24,
+            self.kind as u32
+                | u32::from(self.vc) << 8
+                | u32::from(self.class_bit) << 16
+                | u32::from(self.route_hint) << 24,
+        ]
+    }
+
+    /// The flit [`to_words`](Flit::to_words) packed.
+    #[inline]
+    pub(crate) fn from_words([pkt, dst, meta]: [u32; 3]) -> Self {
+        Flit {
+            pkt,
+            dst_router: dst as u16,
+            dst_local: (dst >> 16) as u8,
+            vnet: (dst >> 24) as u8,
+            kind: FlitKind::from_bits(meta),
+            vc: (meta >> 8) as u8,
+            class_bit: (meta >> 16) as u8,
+            route_hint: (meta >> 24) as u8,
+        }
+    }
 }
 
 /// Number of flits a packet of `size_bytes` occupies, plus kind of each.
@@ -95,6 +138,46 @@ mod tests {
         assert!(kinds[0].is_head() && !kinds[0].is_tail());
         assert!(kinds[3].is_tail() && !kinds[3].is_head());
         assert!(!kinds[1].is_head() && !kinds[1].is_tail());
+    }
+
+    /// Every field at zero and at its maximum, alone and all at once, for
+    /// every kind: a field that overlapped another's bits would not come
+    /// back alone.
+    #[test]
+    fn flits_round_trip_through_wire_words() {
+        let maxed: [fn(&mut Flit); 7] = [
+            |f| f.pkt = PacketId::MAX,
+            |f| f.dst_router = u16::MAX,
+            |f| f.dst_local = u8::MAX,
+            |f| f.vnet = u8::MAX,
+            |f| f.vc = u8::MAX,
+            |f| f.class_bit = u8::MAX,
+            |f| f.route_hint = u8::MAX,
+        ];
+        let kinds = [
+            FlitKind::Head,
+            FlitKind::Body,
+            FlitKind::Tail,
+            FlitKind::HeadTail,
+        ];
+        for kind in kinds {
+            let zero = Flit {
+                kind,
+                ..Flit::default()
+            };
+            let mut all = zero;
+            let mut flits = vec![zero];
+            for set in maxed {
+                let mut one = zero;
+                set(&mut one);
+                set(&mut all);
+                flits.push(one);
+            }
+            flits.push(all);
+            for flit in flits {
+                assert_eq!(Flit::from_words(flit.to_words()), flit, "{flit:?}");
+            }
+        }
     }
 
     #[test]

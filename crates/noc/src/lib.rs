@@ -24,7 +24,7 @@
 //! the links' slots of cycle `now - L` and writes only its own links' slots
 //! of cycle `now` ([`Wires::links`]), so the routers of a cycle may run in
 //! any order. That lets `ra-gpu` execute the identical model
-//! bulk-synchronously across a worker pool — the stand-in for the paper's
+//! bulk-synchronously across worker threads — the stand-in for the paper's
 //! GPU coprocessor — with bit-identical results to the serial engine: both
 //! engines run the same per-cycle pass, [`step_range`], over all routers
 //! or over one worker's range.
@@ -44,6 +44,8 @@
 //! assert_eq!(net.stats().delivered, 1);
 //! # Ok::<(), ra_sim::ConfigError>(())
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod chiplet;
 pub mod config;
@@ -75,4 +77,4 @@ pub use router::Router;
 pub use stats::{FaultStats, NocStats};
 pub use topology::{RouteDecision, TopologyMap};
 pub use traffic::{InjectionProcess, TrafficGen, TrafficPattern};
-pub use wire::{Arrivals, Credit, Links, Ring, Slot, Wire, Wires};
+pub use wire::{Arrivals, Credit, Links, Wire, Wires};

@@ -114,9 +114,10 @@ pub struct EngineParts<'a> {
     /// All routers.
     pub routers: &'a mut [Router],
     /// All wires, slot-major: cycle `c` reads bank `(c - L) % P` and writes
-    /// bank `c % P` ([`Wires::links`]), and router `r` writes only its own
-    /// wires `r * ports .. (r + 1) * ports` of it.
-    pub wires: &'a mut Wires,
+    /// bank `c % P`, and router `r` writes only its own wires
+    /// `r * ports .. (r + 1) * ports` of it. Shared: [`Wires::links`] hands
+    /// each worker the view of its own router range.
+    pub wires: &'a Wires,
     /// Per-router arrival words: marked by senders' switch traversal, taken
     /// by [`step_range`] before each router's step.
     pub arrivals: &'a Arrivals,
@@ -150,18 +151,18 @@ pub struct RangeActivity {
 /// `now`, tests [`EngineParts::router_live`], and if live calls
 /// [`Router::step`].
 ///
-/// `routers[i]` is router `first + i`. `links` must hold the cycle's read
-/// bank and the write bank's wires of at least this range: the serial batch
-/// passes every router with [`Wires::links`], and each `ra-gpu` worker its
-/// own range with [`Links::shared`](crate::Links::shared). A step reads
-/// only bank `(now - L) % P`, writes only its own wires of bank `now % P`
-/// and its own state, and marks only arrival slot `(now + L) % P`, so the
-/// ranges of one cycle may run in any order or in parallel.
+/// `routers[i]` is router `first + i`. `links` must be a [`Wires::links`]
+/// view of cycle `now` over at least this range: the serial batch passes
+/// one over every router, and each `ra-gpu` worker one over its own range.
+/// A step reads only bank `(now - L) % P`, writes only its own wires of
+/// bank `now % P` and its own state, and marks only arrival slot
+/// `(now + L) % P`, so the ranges of one cycle may run in any order or in
+/// parallel.
 pub fn step_range(
     topo: &TopologyMap,
     routers: &mut [Router],
     first: usize,
-    links: &mut Links<'_>,
+    links: &Links<'_>,
     arrivals: &Arrivals,
     gating: bool,
     now: u64,
@@ -384,7 +385,7 @@ impl NocNetwork {
             now: t0,
             topo: &self.topo,
             routers: &mut self.routers,
-            wires: &mut self.wires,
+            wires: &self.wires,
             arrivals: &self.arrivals,
             gating: self.cfg.clock_gating,
         }
@@ -541,14 +542,14 @@ impl NocNetwork {
         let t0 = self.next_cycle;
         let end = end.min(t0 + MAX_BATCH_CYCLES);
         let mut active_bits = 0u64;
-        let mut now = t0;
+        let (mut now, all) = (t0, 0..self.routers.len());
         while now < end {
             self.release_due_injections(now);
             let pass = step_range(
                 &self.topo,
                 &mut self.routers,
                 0,
-                &mut self.wires.links(now, &self.arrivals),
+                &self.wires.links(now, &self.arrivals, all.clone(), false),
                 &self.arrivals,
                 self.cfg.clock_gating,
                 now,
@@ -1340,14 +1341,14 @@ mod gating_tests {
     fn engine_batch(net: &mut NocNetwork, batch: u64, width: usize, descending: bool) {
         let mut releases = Vec::new();
         let parts = net.begin_batch(batch, &mut releases);
-        let t0 = parts.now;
+        let (t0, n) = (parts.now, parts.routers.len());
         let mut active_bits = 0u64;
         let mut due = releases.iter().peekable();
         for c in t0..t0 + batch {
             while let Some(rel) = due.next_if(|rel| rel.cycle == c) {
                 parts.routers[rel.router as usize].apply_release(rel);
             }
-            let mut links = parts.wires.links(c, parts.arrivals);
+            let links = parts.wires.links(c, parts.arrivals, 0..n, false);
             let mut ranges: Vec<_> = parts.routers.chunks_mut(width).enumerate().collect();
             if descending {
                 ranges.reverse();
@@ -1358,7 +1359,7 @@ mod gating_tests {
                     parts.topo,
                     range,
                     first,
-                    &mut links,
+                    &links,
                     parts.arrivals,
                     parts.gating,
                     c,

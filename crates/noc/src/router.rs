@@ -564,7 +564,7 @@ impl Router {
     /// A router frozen by a scripted [`RouterStall`](crate::FaultEvent)
     /// does nothing this cycle: it neither reads its wires (in-flight
     /// flits towards it expire unread and are lost upstream) nor sends.
-    pub fn step(&mut self, topo: &TopologyMap, links: &mut Links<'_>, arrivals: u64, now: u64) {
+    pub fn step(&mut self, topo: &TopologyMap, links: &Links<'_>, arrivals: u64, now: u64) {
         // Fast-forward the VA round-robin pointer over clock-gated cycles:
         // it is the only per-cycle state an idle router would still have
         // advanced, so catching it up here makes gated schedules
@@ -615,7 +615,7 @@ impl Router {
             let wire = topo
                 .link_dst(self.id, port)
                 .map(|(dst, in_port)| (dst * self.ports + in_port) as usize);
-            let Some(vc) = wire.and_then(|w| links.read_credits[w].read(sent)) else {
+            let Some(vc) = wire.and_then(|w| links.credit(w, sent)) else {
                 self.poison(format!(
                     "router {} port {port}: marked credit wire carries nothing sent at {sent}",
                     self.id
@@ -639,7 +639,7 @@ impl Router {
             let wire = topo
                 .link_src(self.id, port)
                 .map(|(src, out_port)| (src * self.ports + out_port) as usize);
-            let Some(flit) = wire.and_then(|w| links.read_flits[w].read(sent)) else {
+            let Some(flit) = wire.and_then(|w| links.flit(w, sent)) else {
                 self.poison(format!(
                     "router {} port {port}: marked flit wire carries nothing sent at {sent}",
                     self.id
@@ -743,12 +743,7 @@ impl Router {
     ///
     /// The nominations and request masks live on the stack — this is the
     /// per-cycle hot path and it must not allocate.
-    fn switch_allocate_and_traverse(
-        &mut self,
-        topo: &TopologyMap,
-        links: &mut Links<'_>,
-        now: u64,
-    ) {
+    fn switch_allocate_and_traverse(&mut self, topo: &TopologyMap, links: &Links<'_>, now: u64) {
         // Stage 1: each occupied input port, ascending, nominates its first
         // VC, round-robin from `sa_vc_ptr`, that is active, holds a flit,
         // and has a downstream credit (ejection needs none); `requests[o]`
@@ -1053,7 +1048,7 @@ mod tests {
     /// Steps `r` at `now` with nothing arriving.
     fn step(r: &mut Router, topo: &TopologyMap, links: &mut (Wires, Arrivals), now: u64) {
         let (wires, arrivals) = links;
-        r.step(topo, &mut wires.links(now, arrivals), 0, now);
+        r.step(topo, &wires.links(now, arrivals, 0..topo.routers(), false), 0, now);
     }
 
     fn mini_router() -> (Router, TopologyMap, NocConfig) {

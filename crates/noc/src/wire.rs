@@ -8,10 +8,10 @@
 //!
 //! [`Wires`] holds every link of the VC network slot-major, in one flat
 //! array per kind (flits, credits): bank `k` holds ring slot `k` of every
-//! wire. A cycle reads one whole bank and writes another
-//! ([`Wires::links`]), so the read side is a shared borrow and the write
-//! side an exclusive one, and an engine hands disjoint router ranges of the
-//! write bank to different threads.
+//! wire. A cycle reads one whole bank and writes another, each router only
+//! its own wires of it ([`Wires::links`]). A slot is a stamp and a few words,
+//! all atomics accessed `Relaxed`, so the threads of an engine share one
+//! `&Wires`, each writing the wires of its own router range.
 //!
 //! Links are **push-based**. A sender that puts a value on a wire also sets
 //! the receiver's bit in the [`Arrivals`] word of the cycle it lands, and a
@@ -26,29 +26,31 @@
 //! [`Wire`] is the deflection router's wire: one ring per link, read every
 //! cycle, with stamps alone telling a fresh value from a stale one.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::flit::Flit;
 
 /// Stamp marking a slot that has never carried a value.
 const NEVER: u64 = u64::MAX;
 
-/// One ring slot: the cycle the value was placed on the wire, plus the value.
+/// One ring slot of a [`Wire`]: the cycle the value was placed on the wire,
+/// plus the value.
 #[derive(Debug, Clone, Copy)]
-pub struct Slot<T: Copy> {
+struct Slot<T: Copy> {
     stamp: u64,
     value: T,
 }
 
 impl<T: Copy> Slot<T> {
     #[inline]
-    pub(crate) fn new(stamp: u64, value: T) -> Self {
+    fn new(stamp: u64, value: T) -> Self {
         Slot { stamp, value }
     }
 
     /// The value, if it was written at cycle `sent`.
     #[inline]
-    pub(crate) fn read(&self, sent: u64) -> Option<T> {
+    fn read(&self, sent: u64) -> Option<T> {
         (self.stamp == sent).then_some(self.value)
     }
 }
@@ -110,31 +112,51 @@ impl<T: Copy> Wire<T> {
 /// A credit notification travelling upstream: the VC index that freed a slot.
 pub type Credit = u8;
 
-/// The slot arithmetic of [`Wires`], without the slots: enough for an
-/// engine that addresses the banks itself.
-#[derive(Debug, Clone, Copy)]
-pub struct Ring {
-    /// Slots per wire, `P = link_latency + 1`.
-    period: u64,
-    /// Ports per router: router `r` owns wires `r * ports .. (r + 1) * ports`
-    /// of every bank.
-    pub ports: usize,
-    /// Wires per bank, `routers * ports`.
-    pub wires: usize,
+/// One ring slot of a [`Wires`] link: the cycle the value was placed on the
+/// wire, plus the value packed into `N` words. Every field is an atomic
+/// accessed `Relaxed`, so engine workers share the slots through `&Wires`;
+/// the engine's barriers order them (see [`Arrivals`]).
+#[derive(Debug)]
+struct WireSlot<const N: usize> {
+    stamp: AtomicU64,
+    words: [AtomicU32; N],
 }
 
-impl Ring {
-    /// The bank cycle `now` reads: ring slot `(now - L) % P`, which cycle
-    /// `now - L` wrote (`(now + 1) % P`, since `L = P - 1`).
-    #[inline]
-    pub fn read_bank(&self, now: u64) -> usize {
-        ((now + 1) % self.period) as usize
+impl<const N: usize> WireSlot<N> {
+    fn empty() -> Self {
+        WireSlot {
+            stamp: AtomicU64::new(NEVER),
+            words: std::array::from_fn(|_| AtomicU32::new(0)),
+        }
     }
 
-    /// The bank cycle `now` writes: ring slot `now % P`.
     #[inline]
-    pub fn write_bank(&self, now: u64) -> usize {
-        (now % self.period) as usize
+    fn put(&self, now: u64, words: [u32; N]) {
+        debug_assert_ne!(
+            self.stamp.load(Ordering::Relaxed),
+            now,
+            "wire written twice at {now}"
+        );
+        for (word, value) in self.words.iter().zip(words) {
+            word.store(value, Ordering::Relaxed);
+        }
+        self.stamp.store(now, Ordering::Relaxed);
+    }
+
+    /// The words, if they were written at cycle `sent`.
+    #[inline]
+    fn get(&self, sent: u64) -> Option<[u32; N]> {
+        (self.stamp.load(Ordering::Relaxed) == sent)
+            .then(|| std::array::from_fn(|i| self.words[i].load(Ordering::Relaxed)))
+    }
+}
+
+impl<const N: usize> Clone for WireSlot<N> {
+    fn clone(&self) -> Self {
+        WireSlot {
+            stamp: AtomicU64::new(self.stamp.load(Ordering::Relaxed)),
+            words: std::array::from_fn(|i| AtomicU32::new(self.words[i].load(Ordering::Relaxed))),
+        }
     }
 }
 
@@ -143,89 +165,101 @@ impl Ring {
 #[derive(Debug, Clone)]
 pub struct Wires {
     /// Flit slots; the wire index is `(sender router * ports) + out_port`.
-    flits: Vec<Slot<Flit>>,
+    flits: Vec<WireSlot<3>>,
     /// Credit slots; the wire index is `(receiver router * ports) +
     /// in_port`: credits travel *upstream*, so the indexing router is the
     /// flit receiver.
-    credits: Vec<Slot<Credit>>,
-    /// The layout both arrays have (private, so it cannot disagree with
-    /// their lengths).
-    ring: Ring,
+    credits: Vec<WireSlot<1>>,
+    /// Slots per wire, `P = link_latency + 1`.
+    period: u64,
+    /// Ports per router: router `r` owns wires `r * ports .. (r + 1) * ports`
+    /// of every bank.
+    ports: usize,
+    /// Wires per bank, `routers * ports`.
+    wires: usize,
 }
 
 impl Wires {
     /// Allocates wires for `routers` routers with `ports` ports each.
     pub fn new(routers: usize, ports: u32, link_latency: u32) -> Self {
-        let ring = Ring {
-            period: u64::from(link_latency) + 1,
-            ports: ports as usize,
-            wires: routers * ports as usize,
-        };
-        let n = ring.wires * ring.period as usize;
+        let period = u64::from(link_latency) + 1;
+        let wires = routers * ports as usize;
+        let n = wires * period as usize;
         Wires {
-            flits: vec![Slot::new(NEVER, Flit::default()); n],
-            credits: vec![Slot::new(NEVER, 0); n],
-            ring,
+            flits: (0..n).map(|_| WireSlot::empty()).collect(),
+            credits: (0..n).map(|_| WireSlot::empty()).collect(),
+            period,
+            ports: ports as usize,
+            wires,
         }
     }
 
-    /// The flit and credit arrays' first slots and their layout, for an
-    /// engine that hands out banks itself.
-    pub fn raw_parts(&mut self) -> (*mut Slot<Flit>, *mut Slot<Credit>, Ring) {
-        let ring = self.ring;
-        (self.flits.as_mut_ptr(), self.credits.as_mut_ptr(), ring)
+    /// The first slot of the bank cycle `now` reads: ring slot
+    /// `(now - L) % P`, which cycle `now - L` wrote (`(now + 1) % P`, since
+    /// `L = P - 1`).
+    fn read_bank(&self, now: u64) -> usize {
+        ((now + 1) % self.period) as usize * self.wires
     }
 
-    /// Every router's view of the links at cycle `now`, for an engine that
-    /// steps them all from one thread: the bank it reads, shared, and the
-    /// bank it writes, exclusive. They differ for every `L >= 1`, so a
-    /// cycle's writes are invisible to its own reads.
-    pub fn links<'a>(&'a mut self, now: u64, arrivals: &'a Arrivals) -> Links<'a> {
-        let (r, w) = (self.ring.read_bank(now), self.ring.write_bank(now));
-        let n = self.ring.wires;
-        let (read_flits, write_flits) = split_banks(&mut self.flits, r, w, n);
-        let (read_credits, write_credits) = split_banks(&mut self.credits, r, w, n);
+    /// The first slot of the bank cycle `now` writes: ring slot `now % P`.
+    fn write_bank(&self, now: u64) -> usize {
+        (now % self.period) as usize * self.wires
+    }
+
+    /// The view of the links at cycle `now` for the routers in `routers`:
+    /// the whole bank the cycle reads and the wires those routers own in
+    /// the bank it writes. The two banks differ for every `L >= 1`, so a
+    /// cycle's writes are invisible to its own reads, and views of disjoint
+    /// router ranges write disjoint slots, so threads may step them at once
+    /// (`shared`: their marks then `fetch_or` the arrival words).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `routers` reaches past the last router.
+    pub fn links<'a>(
+        &'a self,
+        now: u64,
+        arrivals: &'a Arrivals,
+        routers: Range<usize>,
+        shared: bool,
+    ) -> Links<'a> {
+        let (read, write, n) = (self.read_bank(now), self.write_bank(now), self.wires);
+        let own = routers.start * self.ports..routers.end * self.ports;
         Links {
-            read_flits,
-            read_credits,
-            write_flits,
-            write_credits,
-            first: 0,
+            read_flits: &self.flits[read..read + n],
+            read_credits: &self.credits[read..read + n],
+            write_flits: &self.flits[write..write + n][own.clone()],
+            write_credits: &self.credits[write..write + n][own.clone()],
+            first: own.start,
             arrivals,
             landing: arrivals.landing_slot(now),
-            shared: false,
+            shared,
         }
     }
 
     /// Clears every slot (resets stamps, so nothing can ever be read back).
     pub fn clear(&mut self) {
-        self.flits.fill(Slot::new(NEVER, Flit::default()));
-        self.credits.fill(Slot::new(NEVER, 0));
+        for slot in &mut self.flits {
+            *slot.stamp.get_mut() = NEVER;
+        }
+        for slot in &mut self.credits {
+            *slot.stamp.get_mut() = NEVER;
+        }
     }
 }
 
-/// Bank `r`, shared, and bank `w`, exclusive, of `n`-slot banks (`r != w`).
-fn split_banks<T>(slots: &mut [T], r: usize, w: usize, n: usize) -> (&[T], &mut [T]) {
-    if r < w {
-        let (lo, hi) = slots.split_at_mut(w * n);
-        (&lo[r * n..(r + 1) * n], &mut hi[..n])
-    } else {
-        let (lo, hi) = slots.split_at_mut(r * n);
-        (&hi[..n], &mut lo[w * n..(w + 1) * n])
-    }
-}
-
-/// The links as routers see them in one cycle `now`: every wire's slot of
-/// cycle `now - L` to read, the write bank of `now` for a contiguous range
-/// of routers, and the arrival words their sends mark for `now + L`.
+/// The links as routers see them in one cycle `now` ([`Wires::links`]):
+/// every wire's slot of cycle `now - L` to read, the write bank of `now`
+/// for a contiguous range of routers, and the arrival words their sends
+/// mark for `now + L`.
 #[derive(Debug)]
 pub struct Links<'a> {
     /// The read bank, by wire index.
-    pub(crate) read_flits: &'a [Slot<Flit>],
-    pub(crate) read_credits: &'a [Slot<Credit>],
+    read_flits: &'a [WireSlot<3>],
+    read_credits: &'a [WireSlot<1>],
     /// The write bank's wires from index `first` on.
-    write_flits: &'a mut [Slot<Flit>],
-    write_credits: &'a mut [Slot<Credit>],
+    write_flits: &'a [WireSlot<3>],
+    write_credits: &'a [WireSlot<1>],
     first: usize,
     arrivals: &'a Arrivals,
     /// Arrival-word slot of `now + L`.
@@ -235,38 +269,24 @@ pub struct Links<'a> {
     shared: bool,
 }
 
-impl<'a> Links<'a> {
-    /// The view of one of several threads that step disjoint router ranges
-    /// of cycle `now` at once: the whole read bank, the write bank's wires
-    /// from index `first` on, and `fetch_or` marks.
-    pub fn shared(
-        read_flits: &'a [Slot<Flit>],
-        read_credits: &'a [Slot<Credit>],
-        write_flits: &'a mut [Slot<Flit>],
-        write_credits: &'a mut [Slot<Credit>],
-        first: usize,
-        arrivals: &'a Arrivals,
-        now: u64,
-    ) -> Self {
-        Links {
-            read_flits,
-            read_credits,
-            write_flits,
-            write_credits,
-            first,
-            arrivals,
-            landing: arrivals.landing_slot(now),
-            shared: true,
-        }
+impl Links<'_> {
+    /// The flit on `wire`, if it was sent at cycle `sent` (`now - L`).
+    #[inline]
+    pub(crate) fn flit(&self, wire: usize, sent: u64) -> Option<Flit> {
+        self.read_flits[wire].get(sent).map(Flit::from_words)
+    }
+
+    /// The credit on `wire`, if it was sent at cycle `sent` (`now - L`).
+    #[inline]
+    pub(crate) fn credit(&self, wire: usize, sent: u64) -> Option<Credit> {
+        self.read_credits[wire].get(sent).map(|[vc]| vc as Credit)
     }
 
     /// Puts `flit` on `wire` at `now` and marks its receiver `to`, a
     /// `(router, input port)`.
     #[inline]
-    pub(crate) fn send_flit(&mut self, wire: usize, now: u64, flit: Flit, to: Option<(u32, u32)>) {
-        let slot = &mut self.write_flits[wire - self.first];
-        debug_assert_ne!(slot.stamp, now, "wire {wire} written twice at {now}");
-        *slot = Slot::new(now, flit);
+    pub(crate) fn send_flit(&self, wire: usize, now: u64, flit: Flit, to: Option<(u32, u32)>) {
+        self.write_flits[wire - self.first].put(now, flit.to_words());
         if let Some((router, port)) = to {
             self.mark(router, 1 << port);
         }
@@ -276,15 +296,13 @@ impl<'a> Links<'a> {
     /// `(router, output port)`.
     #[inline]
     pub(crate) fn send_credit(
-        &mut self,
+        &self,
         wire: usize,
         now: u64,
         credit: Credit,
         to: Option<(u32, u32)>,
     ) {
-        let slot = &mut self.write_credits[wire - self.first];
-        debug_assert_ne!(slot.stamp, now, "credit wire {wire} written twice at {now}");
-        *slot = Slot::new(now, credit);
+        self.write_credits[wire - self.first].put(now, [u32::from(credit)]);
         if let Some((router, port)) = to {
             self.mark(router, 1 << (32 + port));
         }
@@ -313,9 +331,15 @@ impl<'a> Links<'a> {
 /// `(r, c % P)` with a plain store. Both are race-free across engine
 /// workers: the slot a cycle's sends mark is never the slot that cycle reads
 /// or clears, and only router `r`'s own worker touches `(r, c % P)` in cycle
-/// `c`. Every access is `Relaxed`: a mark is read at least one engine
-/// barrier after it was set, and that barrier (not the word) orders the wire
-/// slot written before the mark ahead of the receiver's read of it.
+/// `c`.
+///
+/// Every access to these words and to the [`Wires`] slots is `Relaxed`. A
+/// wire slot is written in cycle `c` only by its owning router's worker and
+/// read no earlier than cycle `c + L`, a mark likewise; the engine's barrier
+/// between cycles (a release by every party, an acquire by every party)
+/// orders that write before that read. The same barrier keeps a fast
+/// worker's writes to the bank of `c + 1`, which is the read bank of `c`,
+/// behind a slow worker's reads of it in `c`.
 #[derive(Debug)]
 pub struct Arrivals {
     words: Vec<AtomicU64>,
@@ -456,43 +480,49 @@ mod tests {
         let _: Wire<u32> = Wire::new(0);
     }
 
-    /// Whether `slots` is one whole bank (`n` slots) stamped `bank`.
-    fn is_bank<T: Copy>(slots: &[Slot<T>], bank: usize, n: usize) -> bool {
-        slots.len() == n && slots.iter().all(|s| s.stamp == bank as u64)
+    /// Whether `slots` is `len` slots stamped `bank`.
+    fn is_bank<const N: usize>(slots: &[WireSlot<N>], bank: usize, len: usize) -> bool {
+        slots.len() == len
+            && slots
+                .iter()
+                .all(|s| s.stamp.load(Ordering::Relaxed) == bank as u64)
     }
 
     #[test]
     fn a_cycle_reads_the_bank_written_l_cycles_ago_never_its_own() {
         for latency in 1..=4u32 {
             let (period, routers, ports) = (u64::from(latency) + 1, 3, 2);
-            let mut wires = Wires::new(routers, ports, latency);
+            let wires = Wires::new(routers, ports, latency);
             let arrivals = Arrivals::new(routers, latency);
-            let ring = wires.ring;
-            let n = ring.wires;
+            let n = wires.wires;
             assert_eq!(n, routers * ports as usize);
             // Stamp every slot with its bank.
-            for (i, slot) in wires.flits.iter_mut().enumerate() {
-                slot.stamp = (i / n) as u64;
+            for (i, slot) in wires.flits.iter().enumerate() {
+                slot.stamp.store((i / n) as u64, Ordering::Relaxed);
             }
-            for (i, slot) in wires.credits.iter_mut().enumerate() {
-                slot.stamp = (i / n) as u64;
+            for (i, slot) in wires.credits.iter().enumerate() {
+                slot.stamp.store((i / n) as u64, Ordering::Relaxed);
             }
             for now in 0..200u64 {
-                let (read, write) = (ring.read_bank(now), ring.write_bank(now));
+                let (read, write) = (wires.read_bank(now) / n, wires.write_bank(now) / n);
                 assert_eq!(write as u64, now % period, "L {latency} cycle {now}");
                 if now >= u64::from(latency) {
                     assert_eq!(read as u64, (now - u64::from(latency)) % period);
                 }
                 assert_ne!(read, write, "L {latency} cycle {now}");
-                let links = wires.links(now, &arrivals);
-                assert!(
-                    is_bank(links.read_flits, read, n) && is_bank(links.read_credits, read, n),
-                    "L {latency} cycle {now}: the split's read side is not bank {read}"
-                );
-                assert!(
-                    is_bank(links.write_flits, write, n) && is_bank(links.write_credits, write, n),
-                    "L {latency} cycle {now}: the split's write side is not bank {write}"
-                );
+                for (routers, shared) in [(0..routers, false), (1..routers, true)] {
+                    let own = routers.len() * ports as usize;
+                    let links = wires.links(now, &arrivals, routers, shared);
+                    assert!(
+                        is_bank(links.read_flits, read, n) && is_bank(links.read_credits, read, n),
+                        "L {latency} cycle {now}: the read side is not bank {read}"
+                    );
+                    assert!(
+                        is_bank(links.write_flits, write, own)
+                            && is_bank(links.write_credits, write, own),
+                        "L {latency} cycle {now}: the write side is not bank {write}"
+                    );
+                }
             }
         }
     }
@@ -508,29 +538,38 @@ mod tests {
         // routers 1..3: a flit to router 3's input 4, a credit to router
         // 0's output 2.
         let wire = 5 + 2;
-        let all = wires.links(7, &arrivals);
-        let (flits, credits) = (all.write_flits, all.write_credits);
-        let mut links = Links::shared(
-            all.read_flits,
-            all.read_credits,
-            &mut flits[5..15],
-            &mut credits[5..15],
-            5,
-            &arrivals,
-            7,
-        );
+        let links = wires.links(7, &arrivals, 1..3, true);
         links.send_flit(wire, 7, flit, Some((3, 4)));
         links.send_credit(wire, 7, 1, Some((0, 2)));
         assert_eq!(arrivals.take(3, arrivals.slot(9)), 1 << 4);
         assert_eq!(arrivals.take(0, arrivals.slot(9)), 1 << 34);
         assert!(arrivals.is_clear());
-        let links = wires.links(9, &arrivals);
-        assert_eq!(links.read_flits[wire].read(7).map(|f| f.pkt), Some(9));
-        assert_eq!(links.read_credits[wire].read(7), Some(1));
-        assert_eq!(links.read_flits[wire].read(4), None, "stale stamp");
-        assert_eq!(links.read_flits[wire + 1].read(7), None, "next wire");
+        let links = wires.links(9, &arrivals, 0..4, false);
+        assert_eq!(links.flit(wire, 7), Some(flit));
+        assert_eq!(links.credit(wire, 7), Some(1));
+        assert_eq!(links.flit(wire, 4), None, "stale stamp");
+        assert_eq!(links.flit(wire + 1, 7), None, "next wire");
         wires.clear();
-        assert_eq!(wires.links(9, &arrivals).read_flits[wire].read(7), None);
+        assert_eq!(wires.links(9, &arrivals, 0..4, false).flit(wire, 7), None);
+    }
+
+    #[test]
+    fn a_write_outside_the_views_routers_panics() {
+        let (wires, arrivals) = (Wires::new(4, 5, 1), Arrivals::new(4, 1));
+        let links = wires.links(3, &arrivals, 1..3, true);
+        // Router 0's last wire and router 3's first, either side of 5..15.
+        for wire in [4, 15] {
+            let sent = std::panic::catch_unwind(|| {
+                links.send_flit(wire, 3, Flit::default(), None);
+            });
+            assert!(sent.is_err(), "flit wire {wire} is not the view's");
+            let sent = std::panic::catch_unwind(|| links.send_credit(wire, 3, 0, None));
+            assert!(sent.is_err(), "credit wire {wire} is not the view's");
+        }
+        assert!(
+            std::panic::catch_unwind(|| wires.links(3, &arrivals, 2..5, true)).is_err(),
+            "routers 2..5 reach past the fourth"
+        );
     }
 
     #[test]

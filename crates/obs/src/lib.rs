@@ -201,10 +201,11 @@ pub enum Event {
         t0: u64,
         /// Cycles in the batch.
         cycles: u64,
-        /// Worker threads in the pool.
+        /// Worker threads that stepped the batch, the calling thread
+        /// included.
         workers: u64,
-        /// Wall-clock nanoseconds the coordinator spent blocked between
-        /// the batch's start and end barriers (the pool's busy time).
+        /// Wall-clock nanoseconds from opening the batch's thread scope to
+        /// joining it (the workers' busy time, barriers included).
         barrier_wait_ns: u64,
         /// Injections released into the batch up front.
         releases: u64,
