@@ -6,9 +6,10 @@
 //! Here the choice is the router microarchitecture itself: the buffered VC
 //! router vs a bufferless deflection router, compared on target runtime and
 //! packet latency per workload (both in lock-step co-simulation so the
-//! comparison is closed-loop).
+//! comparison is closed-loop). The process fails unless the deflection
+//! router deflects on every workload.
 
-use ra_bench::{banner, Scale};
+use ra_bench::{assert_shape, banner, Scale};
 use ra_fullsys::{FullSysConfig, FullSystem};
 use ra_noc::{DeflectionConfig, DeflectionNetwork, NocConfig, NocNetwork};
 use ra_workloads::{AppProfile, AppWorkload};
@@ -20,6 +21,7 @@ fn main() {
         "{:<14} {:>11} {:>11} {:>9} {:>9} {:>11}",
         "workload", "vc-cyc", "defl-cyc", "vc-lat", "defl-lat", "deflections"
     );
+    let mut never_deflected = Vec::new();
     for app in AppProfile::suite() {
         let cfg = FullSysConfig::new(8, 8);
         // VC router.
@@ -38,6 +40,9 @@ fn main() {
             .run_until_instructions(scale.instructions(), scale.budget())
             .expect("deflection run");
         let defl = sys.into_network();
+        if defl.deflections() == 0 {
+            never_deflected.push(app.name.clone());
+        }
         println!(
             "{:<14} {:>11} {:>11} {:>9.2} {:>9.2} {:>11}",
             app.name,
@@ -51,4 +56,9 @@ fn main() {
     println!("\n(the single-stage bufferless router undercuts the 3-stage VC pipeline's");
     println!(" latency at these loads; deflection counts show where the margin would");
     println!(" erode as injection rates climb toward saturation)");
+    assert_shape(
+        "X2",
+        never_deflected.is_empty(),
+        &format!("no deflections on {}", never_deflected.join(", ")),
+    );
 }

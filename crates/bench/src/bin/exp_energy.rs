@@ -3,9 +3,10 @@
 //! Companion to F1 using the event-based energy model: how much do the
 //! energy estimates of an isolated synthetic study differ from the energy
 //! under the real full-system message stream, and how does energy split
-//! across router components?
+//! across router components? The process fails unless buffers take the
+//! largest share of dynamic energy on every workload.
 
-use ra_bench::{banner, Scale};
+use ra_bench::{assert_shape, banner, Scale};
 use ra_fullsys::FullSystem;
 use ra_noc::{EnergyParams, InjectionProcess, NocConfig, NocNetwork, TrafficGen, TrafficPattern};
 use ra_workloads::{AppProfile, AppWorkload};
@@ -18,6 +19,7 @@ fn main() {
         "{:<14} {:>12} {:>12} {:>10} {:>10} {:>10}",
         "workload", "pJ/flit", "pJ/flit-iso", "buf%", "xbar%", "link%"
     );
+    let mut buffers_not_largest = Vec::new();
     for app in AppProfile::suite() {
         // In-context run.
         let noc = NocNetwork::new(NocConfig::new(8, 8)).expect("noc");
@@ -45,15 +47,27 @@ fn main() {
         gen.run(&mut iso, cycles.min(200_000));
         let e_iso = iso.energy(&params);
         let dynamic = e.dynamic();
+        let buffers = e.buffers_write + e.buffers_read;
+        if buffers <= e.switch || buffers <= e.links {
+            buffers_not_largest.push(app.name.clone());
+        }
         println!(
             "{:<14} {:>12.2} {:>12.2} {:>9.0}% {:>9.0}% {:>9.0}%",
             app.name,
             e.per_flit(flits),
             e_iso.per_flit(iso.stats().flits_delivered),
-            (e.buffers_write + e.buffers_read) / dynamic * 100.0,
+            buffers / dynamic * 100.0,
             e.switch / dynamic * 100.0,
             e.links / dynamic * 100.0,
         );
     }
     println!("\n(buffers dominate dynamic energy; synthetic traffic misreads per-flit cost)");
+    assert_shape(
+        "X1",
+        buffers_not_largest.is_empty(),
+        &format!(
+            "buffers are not the largest dynamic-energy share on {}",
+            buffers_not_largest.join(", ")
+        ),
+    );
 }

@@ -4,9 +4,11 @@
 //! co-simulation) and record the average packet latency. Then evaluate the
 //! *same* NoC in a vacuum: uniform-random Bernoulli traffic at the matched
 //! average injection rate — the standard isolated-evaluation methodology.
-//! The gap between the two is the error an isolated study commits.
+//! The gap between the two is the error an isolated study commits. The
+//! process fails unless the isolated latency is below the in-context one
+//! on every workload.
 
-use ra_bench::{banner, mean, Scale};
+use ra_bench::{assert_shape, banner, mean, Scale};
 use ra_cosim::{percent_error, ModeSpec, RunSpec, Target};
 use ra_noc::{InjectionProcess, NocNetwork, TrafficGen, TrafficPattern};
 use ra_workloads::AppProfile;
@@ -23,6 +25,7 @@ fn main() {
     );
     let target = Target::preset(64).expect("preset");
     let mut errors = Vec::new();
+    let mut not_optimistic = Vec::new();
     for app in AppProfile::suite() {
         // In-context: the cycle-level NoC under the real message stream.
         let truth = RunSpec::new(&target, &app)
@@ -51,6 +54,9 @@ fn main() {
 
         let err = percent_error(iso_latency, real_latency);
         errors.push(err);
+        if iso_latency >= real_latency {
+            not_optimistic.push(app.name.clone());
+        }
         println!(
             "{:<14} {:>12.2} {:>12.2} {:>9.1}% {:>12.4}",
             app.name, real_latency, iso_latency, err, rate
@@ -59,5 +65,13 @@ fn main() {
     println!(
         "\nmean isolated-evaluation latency error: {:.1}%  (claim A2: significant)",
         mean(&errors)
+    );
+    assert_shape(
+        "A2",
+        not_optimistic.is_empty(),
+        &format!(
+            "isolated latency is not below in-context latency on {}",
+            not_optimistic.join(", ")
+        ),
     );
 }

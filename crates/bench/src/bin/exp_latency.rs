@@ -4,7 +4,7 @@
 //! abstraction, per workload: the raw data behind the error figure F3.
 
 use ra_bench::{banner, Scale};
-use ra_cosim::{format_row, ModeSpec, RunSpec, Target};
+use ra_cosim::{ModeSpec, RunSpec, Target};
 use ra_workloads::AppProfile;
 
 fn main() {
@@ -26,7 +26,15 @@ fn main() {
                 .seed(42)
                 .run();
             match run {
-                Ok(r) => println!("{}", format_row(&r)),
+                Ok(r) => println!(
+                    "{:<14} {:<18} {:>10} cyc  {:>8.2} avg-lat  {:>9} msgs  ipc {:>5.2}",
+                    r.workload,
+                    r.mode,
+                    r.cycles,
+                    r.avg_latency(),
+                    r.messages,
+                    r.ipc,
+                ),
                 Err(e) => println!("{:<14} {:<18} FAILED: {e}", app.name, mode.label()),
             }
         }

@@ -2,9 +2,10 @@
 //!
 //! Short quanta keep the calibrated model fresh (low error, more sync
 //! overhead); long quanta let it go stale. This ablation justifies the
-//! quantum used in the headline experiments.
+//! quantum used in the headline experiments. The process fails unless the
+//! error at the longest quantum is above the error at the shortest.
 
-use ra_bench::{banner, secs, Scale};
+use ra_bench::{assert_shape, banner, Scale};
 use ra_cosim::{percent_error, ModeSpec, RunSpec, Target};
 use ra_workloads::AppProfile;
 
@@ -24,18 +25,26 @@ fn main() {
     let truth = run(ModeSpec::Lockstep).expect("lockstep");
     println!("truth: {:.2} cycles avg latency, {} cycles runtime\n", truth.avg_latency(), truth.cycles);
     println!(
-        "{:>9} {:>12} {:>10} {:>12} {:>12}",
-        "quantum", "avg-lat", "err%", "calibration", "wall"
+        "{:>9} {:>12} {:>10} {:>12}",
+        "quantum", "avg-lat", "err%", "calibration"
     );
+    let mut errors = Vec::new();
     for quantum in [100u64, 300, 1_000, 3_000, 10_000, 30_000, 100_000] {
         let r = run(ModeSpec::Reciprocal { quantum, workers: 0, pipeline: false }).expect("reciprocal");
+        let err = percent_error(r.avg_latency(), truth.avg_latency());
+        errors.push(err);
         println!(
-            "{:>9} {:>12.2} {:>9.1}% {:>12} {:>12}",
+            "{:>9} {:>12.2} {:>9.1}% {:>12}",
             quantum,
             r.avg_latency(),
-            percent_error(r.avg_latency(), truth.avg_latency()),
+            err,
             r.calibrations,
-            secs(r.wall)
         );
     }
+    let (shortest, longest) = (errors[0], errors[errors.len() - 1]);
+    assert_shape(
+        "F7",
+        longest > shortest,
+        &format!("error at the longest quantum ({longest:.1}%) is not above the shortest's ({shortest:.1}%)"),
+    );
 }

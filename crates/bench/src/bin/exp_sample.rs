@@ -2,11 +2,11 @@
 //!
 //! "Re-tuned periodically at longer time intervals": only every k-th
 //! calibration quantum is simulated in detail; skipped windows cost the
-//! detailed path nothing. This is the speed lever that makes reciprocal
-//! abstraction cheaper than lock-step co-simulation even on one host core,
-//! at a measurable accuracy cost.
+//! detailed path nothing. The cost column is the detailed cycles simulated,
+//! the speed lever that needs no parallel hardware; the accuracy column is
+//! the price.
 
-use ra_bench::{banner, secs, Scale};
+use ra_bench::{banner, Scale};
 use ra_cosim::{percent_error, ModeSpec, RunSpec, Target};
 use ra_fullsys::FullSystem;
 use ra_cosim::{LatencyProbe, ReciprocalNetwork};
@@ -24,14 +24,10 @@ fn main() {
         .seed(42)
         .run()
         .expect("lockstep");
+    println!("truth: {:.2} avg latency\n", truth.avg_latency());
     println!(
-        "truth: {:.2} avg latency, lockstep wall {}\n",
-        truth.avg_latency(),
-        secs(truth.wall)
-    );
-    println!(
-        "{:>9} {:>12} {:>9} {:>12} {:>14}",
-        "sample", "avg-lat", "err%", "wall", "detailed-cyc"
+        "{:>9} {:>12} {:>9} {:>14}",
+        "sample", "avg-lat", "err%", "detailed-cyc"
     );
     for sample_every in [1u32, 2, 4, 8, 16] {
         let coupler = ReciprocalNetwork::new(target.noc.clone(), 2_000, 0)
@@ -40,19 +36,16 @@ fn main() {
         let net = LatencyProbe::new(coupler);
         let workload = AppWorkload::new(app.clone(), target.cores(), 42);
         let mut sys = FullSystem::new(target.fullsys.clone(), net, workload).expect("system");
-        let start = std::time::Instant::now();
         sys.run_until_instructions(scale.instructions(), scale.budget())
             .expect("run");
-        let wall = start.elapsed();
         let probe = sys.network();
         let lat = probe.latency().mean();
         let detailed = probe.inner().stats().detailed_cycles;
         println!(
-            "{:>8}x {:>12.2} {:>8.1}% {:>12} {:>14}",
+            "{:>8}x {:>12.2} {:>8.1}% {:>14}",
             sample_every,
             lat,
             percent_error(lat, truth.avg_latency()),
-            secs(wall),
             detailed
         );
     }

@@ -1,29 +1,10 @@
 //! Shared reporting helpers for the experiment binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md for the experiment index and EXPERIMENTS.md for the
-//! recorded results). The helpers here keep their output format uniform.
-
-use std::time::Duration;
-
-use ra_cosim::ModeSpec;
-use ra_obs::{JsonlRecorder, ObsSink, TimeBreakdown};
-
-/// Geometric mean of strictly positive values (0 if empty).
-///
-/// # Example
-///
-/// ```
-/// assert!((ra_bench::geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-/// assert_eq!(ra_bench::geomean(&[]), 0.0);
-/// ```
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = xs.iter().map(|x| x.max(f64::MIN_POSITIVE).ln()).sum();
-    (log_sum / xs.len() as f64).exp()
-}
+//! (see DESIGN.md for the experiment index). Binaries print simulated,
+//! deterministic columns only, and `regen.sh` pastes each one's stdout
+//! verbatim into EXPERIMENTS.md, so CI can diff the record against the
+//! code. Host time is measured by the benchmark harness alone.
 
 /// Arithmetic mean (0 if empty).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -63,21 +44,27 @@ pub fn banner(id: &str, title: &str) {
     println!("================================================================");
 }
 
-/// Formats a duration as seconds with millisecond resolution.
-pub fn secs(d: Duration) -> String {
-    format!("{:.3}s", d.as_secs_f64())
+/// Exits the process non-zero when a claim's expected shape does not hold.
+///
+/// Binaries call this after printing their table, so a regenerated
+/// EXPERIMENTS.md block can never quietly record a broken claim.
+pub fn assert_shape(claim: &str, holds: bool, detail: &str) {
+    if !holds {
+        eprintln!("FAIL: {claim}: {detail}");
+        std::process::exit(1);
+    }
 }
 
 /// Experiment scale knobs, read from the command line.
 ///
 /// `--quick` shrinks every run for smoke-testing; `--full` enlarges them
-/// for closer-to-paper statistics. The default targets a couple of minutes
-/// per binary in release mode.
+/// for closer-to-paper statistics. The default takes seconds per binary in
+/// release mode and is the scale EXPERIMENTS.md records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Smoke test: seconds per binary.
     Quick,
-    /// Default: a couple of minutes per binary.
+    /// Default: the scale EXPERIMENTS.md records.
     #[default]
     Normal,
     /// Large: closest to the paper's run lengths.
@@ -118,31 +105,13 @@ impl Scale {
 
 /// Full command-line options of the experiment binaries.
 ///
-/// Beyond the [`Scale`] flags, `--json` switches the binary to
-/// machine-readable output (one JSON document on stdout, for CI artifact
-/// collection), and `--cores 256,512` restricts the target sweep to the
-/// listed core counts.
+/// Beyond the [`Scale`] flags, `exp_error` swaps its target for a chiplet
+/// system (`--chiplet`) or its workload suite for a recorded trace
+/// (`--trace-in`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchArgs {
     /// Run scale (`--quick` / `--full`).
     pub scale: Scale,
-    /// Emit a JSON document instead of the human-readable table.
-    pub json: bool,
-    /// Restrict the sweep to these core counts (`--cores 256,512`).
-    pub cores: Option<Vec<u32>>,
-    /// Run only this mode (`--mode reciprocal:quantum=500,workers=4`);
-    /// binaries that sweep a mode ladder filter it to matching entries.
-    pub mode: Option<ModeSpec>,
-    /// Stream every observability event as JSONL to this path
-    /// (`--trace-out trace.jsonl`).
-    pub trace_out: Option<String>,
-    /// Print the simulation-time breakdown after each reciprocal run
-    /// (`--metrics`).
-    pub metrics: bool,
-    /// Run reciprocal modes with speculative quantum pipelining
-    /// (`--pipeline`): the detailed replay overlaps the next quantum,
-    /// with checkpoint/rollback keeping simulated stats bit-identical.
-    pub pipeline: bool,
     /// Replace the preset target sweep with one chiplet system
     /// (`--chiplet <islands>x<cols>x<rows>[,interposer=<class>]`).
     pub chiplet: Option<ra_cosim::Target>,
@@ -157,34 +126,12 @@ impl BenchArgs {
         Self::parse(std::env::args().skip(1))
     }
 
-    fn parse(args: impl Iterator<Item = String>) -> BenchArgs {
+    fn parse(mut args: impl Iterator<Item = String>) -> BenchArgs {
         let mut out = BenchArgs::default();
-        let mut args = args.peekable();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => out.scale = Scale::Quick,
                 "--full" => out.scale = Scale::Full,
-                "--json" => out.json = true,
-                "--cores" => {
-                    if let Some(list) = args.next() {
-                        let cores: Vec<u32> =
-                            list.split(',').filter_map(|c| c.trim().parse().ok()).collect();
-                        if !cores.is_empty() {
-                            out.cores = Some(cores);
-                        }
-                    }
-                }
-                "--mode" => {
-                    if let Some(spec) = args.next() {
-                        match spec.parse() {
-                            Ok(mode) => out.mode = Some(mode),
-                            Err(e) => eprintln!("ignoring --mode {spec}: {e}"),
-                        }
-                    }
-                }
-                "--trace-out" => out.trace_out = args.next(),
-                "--metrics" => out.metrics = true,
-                "--pipeline" => out.pipeline = true,
                 "--chiplet" => {
                     if let Some(spec) = args.next() {
                         match ra_cosim::Target::from_chiplet_spec(&spec) {
@@ -199,112 +146,10 @@ impl BenchArgs {
         }
         out
     }
-
-    /// Whether `cores` survives the `--cores` filter.
-    pub fn wants_cores(&self, cores: u32) -> bool {
-        match &self.cores {
-            Some(list) => list.contains(&cores),
-            None => true,
-        }
-    }
-
-    /// Whether `mode` survives the `--mode` filter (labels must match, so
-    /// `--mode reciprocal` admits every serial-reciprocal ladder entry).
-    pub fn wants_mode(&self, mode: ModeSpec) -> bool {
-        match self.mode {
-            Some(wanted) => wanted.label() == mode.label(),
-            None => true,
-        }
-    }
-
-    /// The workload this invocation runs: the `--trace-in` stream when
-    /// given, otherwise `default` (typically the binary's stock profile).
-    pub fn work_or(&self, default: ra_workloads::WorkSpec) -> ra_workloads::WorkSpec {
-        match &self.trace_in {
-            Some(name) => ra_workloads::WorkSpec::Trace(name.clone()),
-            None => default,
-        }
-    }
-
-    /// Opens the `--trace-out` JSONL sink, if requested. The returned
-    /// [`ObsSink`] is shared: pass clones to every run so one file carries
-    /// the whole binary's event stream. `None` with no `--trace-out`.
-    pub fn trace_sink(&self) -> std::io::Result<Option<ObsSink>> {
-        match &self.trace_out {
-            Some(path) => {
-                let recorder = JsonlRecorder::create(path)?;
-                let (sink, _) = ObsSink::attach(recorder);
-                Ok(Some(sink))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-/// Rolls a run's wall-clock into the T2-style simulation-time breakdown:
-/// detailed-NoC and calibration time from the coupler stats (zero for
-/// non-reciprocal runs), remainder attributed to the full system + fast
-/// path.
-pub fn breakdown_of(result: &ra_cosim::RunResult) -> TimeBreakdown {
-    let mut b = TimeBreakdown::default();
-    if let Some(coupler) = &result.coupler {
-        b.detailed_ns = coupler.detailed_wall.as_nanos() as u64;
-        b.calibrate_ns = coupler.calibrate_wall.as_nanos() as u64;
-        b.spec_commits = coupler.spec_commits;
-        b.spec_rollbacks = coupler.spec_rollbacks;
-        b.spec_wasted_cycles = coupler.spec_wasted_cycles;
-    }
-    // Pipelined runs overlap the detailed replay with the full system, so
-    // the components can sum past the wall clock; the remainder saturates.
-    b.fullsys_ns = (result.wall.as_nanos() as u64)
-        .saturating_sub(b.detailed_ns)
-        .saturating_sub(b.calibrate_ns);
-    b
-}
-
-/// Formats a coupler's bounded watchdog-trip history as a JSON array for
-/// [`JsonField::Raw`].
-pub fn trips_json(trips: &[ra_cosim::TripRecord]) -> String {
-    let rows: Vec<String> = trips
-        .iter()
-        .map(|t| {
-            json_object(&[
-                ("cycle", JsonField::Int(t.cycle)),
-                ("cause", JsonField::Str(t.cause.clone())),
-            ])
-        })
-        .collect();
-    json_array(&rows)
-}
-
-/// Renders a T2-style simulation-time breakdown (detailed NoC vs.
-/// calibration vs. full system + fast path) for `--metrics` output.
-pub fn format_breakdown(b: &TimeBreakdown) -> String {
-    let total = b.total_ns().max(1) as f64;
-    let mut out = format!(
-        "time breakdown: detailed {:.3}s ({:.1}%), calibrate {:.3}s ({:.1}%), fullsys+fast {:.3}s ({:.1}%)",
-        b.detailed_ns as f64 / 1e9,
-        b.detailed_ns as f64 / total * 100.0,
-        b.calibrate_ns as f64 / 1e9,
-        b.calibrate_ns as f64 / total * 100.0,
-        b.fullsys_ns as f64 / 1e9,
-        b.fullsys_ns as f64 / total * 100.0,
-    );
-    if b.spec_decisions() > 0 {
-        out.push_str(&format!(
-            "\nspeculation: {} commits, {} rollbacks ({:.1}% rolled back), {} cycles wasted",
-            b.spec_commits,
-            b.spec_rollbacks,
-            b.rollback_ratio() * 100.0,
-            b.spec_wasted_cycles,
-        ));
-    }
-    out
 }
 
 /// One field of a hand-rolled JSON object (the vendored `serde` stub cannot
-/// serialize, so the benchmark binaries format their machine-readable
-/// output through this).
+/// serialize, so `ra-serve` formats its JSON output through this).
 #[derive(Debug, Clone)]
 pub enum JsonField {
     /// A JSON string (escaped on output).
@@ -313,8 +158,8 @@ pub enum JsonField {
     Num(f64),
     /// An unsigned integer.
     Int(u64),
-    /// Pre-formatted JSON emitted verbatim (nested arrays/objects built
-    /// with [`json_object`]/[`json_array`]).
+    /// Pre-formatted JSON emitted verbatim (nested objects built with
+    /// [`json_object`]).
     Raw(String),
 }
 
@@ -355,11 +200,6 @@ pub fn json_object(fields: &[(&str, JsonField)]) -> String {
     out
 }
 
-/// Joins pre-formatted JSON values into an array document.
-pub fn json_array(rows: &[String]) -> String {
-    format!("[{}]", rows.join(","))
-}
-
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -379,12 +219,6 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn geomean_matches_hand_computation() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geomean(&[10.0]) - 10.0).abs() < 1e-12);
-    }
 
     #[test]
     fn mean_handles_empty() {
@@ -419,50 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn bench_args_parse_flags() {
+    fn bench_args_parse_scale() {
         assert_eq!(parse(&[]), BenchArgs::default());
-        let a = parse(&["--quick", "--json", "--cores", "256,512"]);
-        assert_eq!(a.scale, Scale::Quick);
-        assert!(a.json);
-        assert_eq!(a.cores, Some(vec![256, 512]));
-        assert!(a.wants_cores(256));
-        assert!(!a.wants_cores(64));
-        assert!(parse(&[]).wants_cores(64), "no filter admits everything");
-        let junk = parse(&["--cores", "banana"]);
-        assert_eq!(junk.cores, None, "unparseable filter is ignored");
-    }
-
-    #[test]
-    fn bench_args_parse_observability_flags() {
-        let a = parse(&[
-            "--mode",
-            "reciprocal:quantum=500,workers=4",
-            "--trace-out",
-            "trace.jsonl",
-            "--metrics",
-            "--pipeline",
-        ]);
-        assert_eq!(
-            a.mode,
-            Some(ModeSpec::Reciprocal { quantum: 500, workers: 4, pipeline: false })
-        );
-        assert_eq!(a.trace_out.as_deref(), Some("trace.jsonl"));
-        assert!(a.metrics);
-        assert!(a.pipeline);
-        assert!(!parse(&[]).pipeline, "pipelining is opt-in");
-        assert!(a.wants_mode(ModeSpec::Reciprocal { quantum: 123, workers: 4, pipeline: false }),
-            "mode filter matches by label, not exact quantum");
-        assert!(!a.wants_mode(ModeSpec::Hop));
-        assert!(parse(&[]).wants_mode(ModeSpec::Hop), "no filter admits everything");
-        let junk = parse(&["--mode", "warp-speed"]);
-        assert_eq!(junk.mode, None, "unparseable mode is ignored");
-        assert!(parse(&[]).trace_sink().unwrap().is_none());
+        assert_eq!(parse(&["--quick"]).scale, Scale::Quick);
+        assert_eq!(parse(&["--full"]).scale, Scale::Full);
     }
 
     #[test]
     fn bench_args_parse_chiplet_and_trace_in() {
         use ra_cosim::{InterposerClass, Target};
-        use ra_workloads::WorkSpec;
 
         let a = parse(&["--chiplet", "2x4x4,interposer=organic", "--trace-in", "smoke"]);
         assert_eq!(
@@ -470,23 +269,13 @@ mod tests {
             Some(Target::chiplet(2, 4, 4, InterposerClass::Organic))
         );
         assert_eq!(a.trace_in.as_deref(), Some("smoke"));
-        assert_eq!(
-            a.work_or(WorkSpec::Profile(ra_workloads::AppProfile::ocean())),
-            WorkSpec::Trace("smoke".into())
-        );
         let junk = parse(&["--chiplet", "1x4x4"]);
         assert_eq!(junk.chiplet, None, "unparseable chiplet spec is ignored");
-        assert_eq!(
-            parse(&[]).work_or(WorkSpec::Profile(ra_workloads::AppProfile::ocean())),
-            WorkSpec::Profile(ra_workloads::AppProfile::ocean())
-        );
     }
 
     #[test]
     fn json_raw_embeds_verbatim() {
-        let row = json_object(&[
-            ("trips", JsonField::Raw(json_array(&["{\"cycle\":5}".into()]))),
-        ]);
+        let row = json_object(&[("trips", JsonField::Raw("[{\"cycle\":5}]".into()))]);
         assert_eq!(row, "{\"trips\":[{\"cycle\":5}]}");
     }
 
@@ -499,7 +288,5 @@ mod tests {
             ("n", JsonField::Int(7)),
         ]);
         assert_eq!(row, "{\"s\":\"a\\\"b\\\\c\\nd\",\"x\":1.5,\"nan\":null,\"n\":7}");
-        assert_eq!(json_array(&[]), "[]");
-        assert_eq!(json_array(&["1".into(), "2".into()]), "[1,2]");
     }
 }

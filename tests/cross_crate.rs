@@ -8,6 +8,7 @@ use reciprocal_abstraction::fullsys::{FullSysConfig, FullSystem};
 use reciprocal_abstraction::gpu::ParallelEngine;
 use reciprocal_abstraction::netmodel::{HopLatency, HopMetric};
 use reciprocal_abstraction::noc::{NocConfig, NocNetwork, TopologyKind};
+use reciprocal_abstraction::obs::{JsonlRecorder, ObsSink, Recorder};
 use reciprocal_abstraction::sim::{Cycle, MessageClass, NetMessage, Network, NodeId};
 use reciprocal_abstraction::workloads::{AppProfile, AppWorkload};
 
@@ -203,6 +204,32 @@ fn engine_equivalence_under_protocol_traffic() {
     };
     assert_eq!(serial, run(2));
     let _ = run(0); // plain lockstep also completes
+}
+
+/// A reciprocal run with a `JsonlRecorder` attached streams the coupler's
+/// `quantum_report` events and the profiling `span` events to the trace
+/// file, one JSON object per line.
+#[test]
+fn jsonl_trace_carries_quantum_reports_and_spans() {
+    let path = std::env::temp_dir().join(format!("ra-trace-{}.jsonl", std::process::id()));
+    let (sink, recorder) = ObsSink::attach(JsonlRecorder::create(&path).unwrap());
+    let target = Target::cmp(4, 4);
+    RunSpec::new(&target, &AppProfile::radix())
+        .mode(ModeSpec::Reciprocal { quantum: 400, workers: 0, pipeline: false })
+        .instructions(400)
+        .budget(5_000_000)
+        .seed(9)
+        .recorder(sink)
+        .run()
+        .unwrap();
+    recorder.lock().unwrap().flush().unwrap();
+    let trace = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(trace.lines().all(|line| line.starts_with('{') && line.ends_with('}')));
+    for kind in ["quantum_report", "span"] {
+        let tag = format!("\"event\":\"{kind}\"");
+        assert!(trace.lines().any(|line| line.contains(&tag)), "no {kind} event in the trace");
+    }
 }
 
 /// Quantum-1 reciprocal co-simulation degenerates to per-cycle coupling;

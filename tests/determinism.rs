@@ -319,6 +319,37 @@ mod speculative_pipeline {
         }
     }
 
+    /// The 256-core operating point: ocean at `quantum=500`, 1,000
+    /// instructions per core, seed 42, pipelined against serial. The
+    /// pipeline must match the serial run bit for bit while rolling back
+    /// fewer than half of its speculated windows. Release only; CI runs it
+    /// in its release test steps.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn ocean_256_pipeline_matches_serial_and_mostly_commits() {
+        let target = Target::preset(256).expect("preset");
+        let run = |pipeline: bool| {
+            RunSpec::new(&target, &AppProfile::ocean())
+                .mode(ModeSpec::Reciprocal { quantum: 500, workers: 0, pipeline })
+                .instructions(1_000)
+                .budget(20_000_000)
+                .seed(42)
+                .run()
+                .expect("reciprocal run")
+        };
+        let serial = run(false);
+        let piped = run(true);
+        let c = piped.coupler.as_ref().expect("reciprocal run");
+        let decided = c.spec_commits + c.spec_rollbacks;
+        assert!(decided > 0, "the pipelined run never speculated");
+        assert!(
+            c.spec_rollbacks * 2 < decided,
+            "{} of {decided} speculated windows rolled back",
+            c.spec_rollbacks
+        );
+        assert_eq!(fingerprint(&serial), fingerprint(&piped));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
