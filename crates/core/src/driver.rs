@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use ra_fullsys::{FullSysSnapshot, FullSystem, SliceEnd};
 use ra_netmodel::{AbstractNetwork, FixedLatency, HopLatency, HopMetric, QueueingLatency};
-use ra_noc::{DetailedNoc, TopologyKind};
+use ra_noc::{ChipletNetwork, TopologyKind};
 use ra_obs::{Event, ObsSink, SpanKind};
 use ra_sim::{ConfigError, MessageClass, Network, SimError, Summary};
 use ra_workloads::{AnyWorkload, AppProfile, WorkSpec};
@@ -617,7 +617,7 @@ fn build_network(
                 .with_sink(sink.clone()),
         ),
         ModeSpec::Lockstep => {
-            let mut net = DetailedNoc::new(target.noc.clone())?;
+            let mut net = ChipletNetwork::new(target.noc.clone())?;
             net.set_sink(sink.clone());
             Box::new(net)
         }

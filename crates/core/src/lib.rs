@@ -47,8 +47,7 @@ pub use driver::{format_row, percent_error, ModeSpec, ParseModeError, RunResult,
 pub use probe::{LatencyProbe, ProbeSnapshot};
 pub use record::{replay_into, RecordedMessage, TrafficRecord};
 pub use reciprocal::{
-    AdaptiveQuantum, CouplerStats, FallbackPolicy, ReciprocalNetwork, SpecState, TripRecord,
-    TRIP_HISTORY,
+    CouplerStats, FallbackPolicy, ReciprocalNetwork, SpecState, TripRecord, TRIP_HISTORY,
 };
 pub use target::{Target, STANDARD_CORE_COUNTS};
 

@@ -3,7 +3,6 @@
 use ra_fullsys::FullSysConfig;
 use ra_noc::{ChipletSpec, InterposerClass, NocConfig, Routing, TopologyKind};
 use ra_sim::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// A complete target-machine description: the full-system configuration and
 /// the matching NoC configuration.
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.cores(), 256);
 /// assert_eq!(t.noc.shape, t.fullsys.shape);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Target {
     /// Human-readable name, e.g. `"256-core"`.
     pub name: String,

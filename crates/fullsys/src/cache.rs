@@ -1,9 +1,7 @@
 //! Set-associative cache array with LRU replacement.
 
-use serde::{Deserialize, Serialize};
-
 /// Coherence state of a cached line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineState {
     /// Shared, clean.
     Shared,

@@ -1,7 +1,6 @@
 //! Full-system configuration.
 
 use ra_sim::{ConfigError, MeshShape, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the tiled-CMP full-system simulator.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.mc_nodes().len(), 4);
 /// cfg.validate().expect("valid");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FullSysConfig {
     /// Tile grid (must match the network's node grid).
     pub shape: MeshShape,

@@ -11,10 +11,9 @@
 //! * invalidations/forwards/writebacks on the coherence network.
 
 use ra_sim::MessageClass;
-use serde::{Deserialize, Serialize};
 
 /// Kind of a protocol message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProtoKind {
     /// Read request: L1 -> home.
     GetS,
@@ -86,7 +85,7 @@ impl ProtoKind {
 /// One protocol message (the payload riding on a
 /// [`NetMessage`](ra_sim::NetMessage); the network itself only sees
 /// class and size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProtoMsg {
     /// Message kind.
     pub kind: ProtoKind,

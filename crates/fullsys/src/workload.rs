@@ -1,10 +1,9 @@
 //! Workloads: the instruction streams cores execute.
 
 use ra_sim::Pcg32;
-use serde::{Deserialize, Serialize};
 
 /// One operation of a core's instruction stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// `n` cycles of computation (retires `n` instructions).
     Compute(u32),
@@ -44,7 +43,7 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
 /// Each core owns a private working set and shares a global region with the
 /// other cores; the mix of private/shared accesses, read/write ratio and
 /// compute gaps shape the coherence traffic the tiles generate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticParams {
     /// Mean compute cycles between memory operations.
     pub compute_mean: u32,

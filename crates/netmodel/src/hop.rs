@@ -1,14 +1,13 @@
 //! Hop-distance metrics for abstract models.
 
 use ra_sim::{MeshShape, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// How an abstract model measures distance between endpoints.
 ///
 /// Mirrors the distances of `ra-noc`'s topologies without depending on the
 /// cycle-level simulator (an integration test in the workspace root checks
 /// the two stay consistent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HopMetric {
     /// Manhattan distance on a mesh of the given node shape.
     Mesh(MeshShape),

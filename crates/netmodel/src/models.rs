@@ -1,7 +1,6 @@
 //! Analytical latency models.
 
 use ra_sim::NetMessage;
-use serde::{Deserialize, Serialize};
 
 /// Load information an [`AbstractNetwork`](crate::AbstractNetwork) supplies
 /// to its model at prediction time.
@@ -39,7 +38,7 @@ pub trait LatencyModel {
 /// let msg = NetMessage::new(0, NodeId(0), NodeId(9), MessageClass::Request, 8);
 /// assert_eq!(model.latency(&msg, &LoadContext::default()), 12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedLatency {
     cycles: u64,
 }
@@ -65,7 +64,7 @@ impl LatencyModel for FixedLatency {
 /// misleading abstraction under load: it never models queueing, so its error
 /// grows with congestion. This is the paper's "more abstract network model"
 /// baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopLatency {
     /// Source overhead: NI to first switch traversal.
     pub base: u64,
@@ -100,7 +99,7 @@ impl LatencyModel for HopLatency {
 /// the utilization relative to a configurable saturation capacity. Better
 /// than [`HopLatency`] under load, but its capacity parameter is a static
 /// guess — the calibrated reciprocal model subsumes it by measuring.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueingLatency {
     /// Underlying contention-free model.
     pub hop: HopLatency,

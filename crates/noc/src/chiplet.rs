@@ -28,6 +28,10 @@
 //! on-die traffic separately: intra-island distances occupy `[0, D]`
 //! (D = island diameter) and cross-island distances `[D+1, 3D+1]`, so no
 //! cell ever mixes the two populations.
+//!
+//! A configuration without a [`ChipletSpec`] is the one-island case: a
+//! single die, with no interposer, whose every call reaches that die
+//! unchanged (same seed, same fault plan, any topology).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -35,7 +39,6 @@ use std::str::FromStr;
 
 use ra_obs::ObsSink;
 use ra_sim::{ConfigError, Cycle, Delivery, NetMessage, Network, NodeId, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::config::NocConfig;
 use crate::fault::FaultPlan;
@@ -50,7 +53,7 @@ use crate::stats::NocStats;
 /// (buffered links between the two). The class fixes the per-hop link
 /// latency and the bytes serialized per cycle; contention on top of that
 /// is modeled per ordered island pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterposerClass {
     /// Passive silicon interposer: 4-cycle links, 32 bytes/cycle.
     Silicon,
@@ -121,9 +124,8 @@ impl FromStr for InterposerClass {
 /// configuration into `islands` independent dies joined by an interposer.
 ///
 /// Installed via [`NocConfig::with_chiplet`]; a config carrying a spec is
-/// built with [`DetailedNoc::new`] (or [`ChipletNetwork::new`] directly) —
-/// [`NocNetwork::new`] rejects it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// built with [`ChipletNetwork::new`] — [`NocNetwork::new`] rejects it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipletSpec {
     /// Number of islands (>= 2).
     pub islands: u32,
@@ -223,13 +225,13 @@ pub struct ChipletWindowSnapshot {
     islands: Vec<NocWindowSnapshot>,
 }
 
-/// The hierarchical multi-die network. See the [module docs](self).
+/// The hierarchical multi-die network, or a single die as its one-island
+/// case. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ChipletNetwork {
     /// The full configuration, `chiplet` included (kept verbatim so a
     /// supervisor can rebuild the network after a trip).
     cfg: NocConfig,
-    spec: ChipletSpec,
     islands: Vec<NocNetwork>,
     island_nodes: u32,
     /// Mesh diameter of one island (the intra/cross hop-band split).
@@ -247,41 +249,43 @@ pub struct ChipletNetwork {
 }
 
 impl ChipletNetwork {
-    /// Builds a chiplet network from a configuration carrying a
-    /// [`ChipletSpec`].
+    /// Builds the detailed network a configuration asks for.
     ///
-    /// Every island replicates the base configuration with a
-    /// per-island-decorrelated seed (and its own fault plan, if any);
-    /// island `i` owns the global node ids
-    /// `[i * nodes_per_island, (i + 1) * nodes_per_island)`.
+    /// With a [`ChipletSpec`], every island replicates the base
+    /// configuration with a per-island-decorrelated seed (and its own
+    /// fault plan, if any); island `i` owns the global node ids
+    /// `[i * nodes_per_island, (i + 1) * nodes_per_island)`. Without one,
+    /// the single island is exactly `NocNetwork::new(cfg)`.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the base configuration is invalid, the
-    /// spec is missing, or the spec fails [`ChipletSpec`] validation.
+    /// Returns a [`ConfigError`] if the base configuration is invalid or
+    /// the spec fails [`ChipletSpec`] validation.
     pub fn new(cfg: NocConfig) -> Result<Self, ConfigError> {
-        let spec = cfg
-            .chiplet
-            .clone()
-            .ok_or_else(|| ConfigError::new("ChipletNetwork needs a NocConfig with a chiplet spec"))?;
         cfg.validate()?;
-        let mut islands = Vec::with_capacity(spec.islands as usize);
-        for i in 0..spec.islands {
-            let mut island_cfg = cfg.clone();
-            island_cfg.chiplet = None;
-            // Decorrelate island-local randomness (O1TURN coin flips) the
-            // same way the workloads decorrelate per-core streams.
-            island_cfg.seed = cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(i) + 1);
-            if let Some(plan) = spec.island_faults.get(i as usize) {
-                island_cfg.faults = plan.clone();
-            }
-            let mut island = NocNetwork::new(island_cfg)?;
-            island.set_island_tag(u64::from(i));
-            islands.push(island);
-        }
+        let islands = match &cfg.chiplet {
+            None => vec![NocNetwork::new(cfg.clone())?],
+            Some(spec) => (0..spec.islands)
+                .map(|i| {
+                    let mut island_cfg = cfg.clone();
+                    island_cfg.chiplet = None;
+                    // Decorrelate island-local randomness (O1TURN coin
+                    // flips) the same way the workloads decorrelate
+                    // per-core streams.
+                    island_cfg.seed =
+                        cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(i) + 1);
+                    if let Some(plan) = spec.island_faults.get(i as usize) {
+                        island_cfg.faults = plan.clone();
+                    }
+                    let mut island = NocNetwork::new(island_cfg)?;
+                    island.set_island_tag(u64::from(i));
+                    Ok(island)
+                })
+                .collect::<Result<Vec<_>, ConfigError>>()?,
+        };
         let island_nodes = cfg.shape.nodes() as u32;
         let island_diameter = islands[0].topology().diameter();
-        let links = (spec.islands as usize) * (spec.islands as usize);
+        let links = islands.len() * islands.len();
         Ok(ChipletNetwork {
             cfg,
             islands,
@@ -292,18 +296,17 @@ impl ChipletNetwork {
             delivered_out: Vec::new(),
             interposer: InterposerStats::default(),
             pending_scratch: Vec::new(),
-            spec,
         })
     }
 
-    /// The full configuration (with the chiplet spec).
+    /// The full configuration (with the chiplet spec, if any).
     pub fn config(&self) -> &NocConfig {
         &self.cfg
     }
 
-    /// The chiplet spec.
-    pub fn spec(&self) -> &ChipletSpec {
-        &self.spec
+    /// The chiplet spec; `None` on a single die.
+    pub fn spec(&self) -> Option<&ChipletSpec> {
+        self.cfg.chiplet.as_ref()
     }
 
     /// The islands, in id order (island `i` owns global nodes
@@ -319,7 +322,7 @@ impl ChipletNetwork {
 
     /// Total nodes across all islands.
     pub fn nodes(&self) -> u32 {
-        self.island_nodes * self.spec.islands
+        self.island_nodes * self.islands.len() as u32
     }
 
     /// Interposer counters.
@@ -336,9 +339,9 @@ impl ChipletNetwork {
     pub fn split(&self, node: NodeId) -> (u32, NodeId) {
         let island = node.0 / self.island_nodes;
         assert!(
-            island < self.spec.islands,
+            (island as usize) < self.islands.len(),
             "node {node} outside {} islands of {} nodes",
-            self.spec.islands,
+            self.islands.len(),
             self.island_nodes
         );
         (island, NodeId(node.0 % self.island_nodes))
@@ -362,16 +365,28 @@ impl ChipletNetwork {
         }
     }
 
-    /// Largest possible hierarchical hop distance (`3 * D + 1`).
+    /// Largest possible hop distance: `3 * D + 1` across islands, the
+    /// die's own diameter `D` on a single die.
     pub fn diameter(&self) -> usize {
-        3 * self.island_diameter + 1
+        match self.spec() {
+            Some(_) => 3 * self.island_diameter + 1,
+            None => self.island_diameter,
+        }
     }
 
     /// Hop distance below which a pair is on-die (`hops <= split` ⇔
     /// intra-island) — the boundary the calibrated model fits each side
-    /// of separately.
-    pub fn cross_split(&self) -> usize {
-        self.island_diameter
+    /// of separately; `None` on a single die.
+    pub fn cross_split(&self) -> Option<usize> {
+        self.spec().map(|_| self.island_diameter)
+    }
+
+    /// The die of a single-die network, which needs no handoffs.
+    fn single_die(&mut self) -> Option<&mut NocNetwork> {
+        match self.cfg.chiplet {
+            Some(_) => None,
+            None => self.islands.first_mut(),
+        }
     }
 
     /// The next cycle to be simulated (islands advance in lockstep, so
@@ -388,9 +403,9 @@ impl ChipletNetwork {
     /// Lockstep batch length: handoffs are applied at batch boundaries,
     /// and a second leg arrives at least `interposer latency + 2` cycles
     /// after its gateway delivery, so a batch of this length can never
-    /// receive an injection into its own past.
+    /// receive an injection into its own past. Unbounded on a single die.
     fn horizon(&self) -> u64 {
-        self.spec.interposer.latency().max(1)
+        self.spec().map_or(u64::MAX, |spec| spec.interposer.latency().max(1))
     }
 
     /// Advances every island through cycle `target` (inclusive) in
@@ -441,8 +456,12 @@ impl ChipletNetwork {
     /// Drains every island's deliveries and applies them in
     /// `(cycle, island)` order: gateway arrivals take the interposer hop
     /// (scheduling their second leg), completed legs become globally
-    /// addressed deliveries.
+    /// addressed deliveries. A single die keeps its deliveries, and
+    /// `drain_delivered` hands its `Vec` through.
     fn process_handoffs(&mut self) {
+        if self.spec().is_none() {
+            return;
+        }
         let mut pending = std::mem::take(&mut self.pending_scratch);
         pending.clear();
         for (i, island) in self.islands.iter_mut().enumerate() {
@@ -494,13 +513,14 @@ impl ChipletNetwork {
     /// injects the second leg into the destination island at its arrival
     /// cycle.
     fn interposer_hop(&mut self, gateway_at: u64, c: Crossing) {
-        let link = (c.src_island * self.spec.islands + c.dst_island) as usize;
+        let class = self.spec().expect("only a chiplet has crossings").interposer;
+        let link = c.src_island as usize * self.islands.len() + c.dst_island as usize;
         let ready = gateway_at + 1;
         let depart = ready.max(self.next_free[link]);
         let ser = u64::from(c.orig.size_bytes)
-            .div_ceil(self.spec.interposer.bytes_per_cycle())
+            .div_ceil(class.bytes_per_cycle())
             .max(1);
-        let arrive = depart + ser + self.spec.interposer.latency();
+        let arrive = depart + ser + class.latency();
         self.next_free[link] = depart + ser;
         self.interposer.crossings += 1;
         self.interposer.serialization_cycles += ser;
@@ -528,7 +548,8 @@ impl ChipletNetwork {
     }
 
     /// Runs until every message (both legs of every crossing included)
-    /// has been delivered, on the serial engine.
+    /// has been delivered, on the serial engine. A single die runs
+    /// [`NocNetwork::run_until_drained`].
     ///
     /// # Errors
     ///
@@ -536,6 +557,9 @@ impl ChipletNetwork {
     /// * [`SimError::Invariant`] from any island (router poisoning or the
     ///   per-island deadlock watchdog).
     pub fn run_until_drained(&mut self, budget: u64) -> Result<(), SimError> {
+        if let Some(die) = self.single_die() {
+            return die.run_until_drained(budget);
+        }
         let start = self.next_cycle();
         while self.in_flight() > 0 {
             self.check_invariant()?;
@@ -546,7 +570,7 @@ impl ChipletNetwork {
                         "{} in-flight messages ({} mid-interposer) across {} islands",
                         self.in_flight(),
                         self.crossing.len(),
-                        self.spec.islands
+                        self.islands.len()
                     ),
                 });
             }
@@ -705,8 +729,11 @@ impl Network for ChipletNetwork {
         }
     }
 
-    fn drain_delivered(&mut self, _now: Cycle) -> Vec<Delivery> {
-        std::mem::take(&mut self.delivered_out)
+    fn drain_delivered(&mut self, now: Cycle) -> Vec<Delivery> {
+        match self.single_die() {
+            Some(die) => die.drain_delivered(now),
+            None => std::mem::take(&mut self.delivered_out),
+        }
     }
 
     fn in_flight(&self) -> usize {
@@ -718,256 +745,11 @@ impl Network for ChipletNetwork {
     }
 }
 
-/// The detailed side of the co-simulation: a single-die [`NocNetwork`] or
-/// a multi-die [`ChipletNetwork`], behind one dispatch surface so the
-/// coupler, supervisor, and engines never branch on die count themselves.
-///
-/// Single-die paths forward verbatim — a `DetailedNoc::Single` is
-/// bit-identical to using the wrapped network directly.
-// One instance exists per coupler (never in collections), so the size
-// spread between variants costs nothing, while boxing would put a deref
-// on the per-cycle stepping path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum DetailedNoc {
-    /// One die: today's detailed network.
-    Single(NocNetwork),
-    /// N islands behind an interposer.
-    Chiplet(ChipletNetwork),
-}
-
-/// Window-event baseline for either detailed shape (see
-/// [`DetailedNoc::window_snapshot`]).
-#[derive(Debug, Clone)]
-pub enum DetailedSnapshot {
-    /// Baseline of a single-die window.
-    Single(NocWindowSnapshot),
-    /// Per-island baselines of a chiplet window.
-    Chiplet(ChipletWindowSnapshot),
-}
-
-impl DetailedNoc {
-    /// Builds the detailed network a configuration asks for: a
-    /// [`ChipletNetwork`] when the config carries a chiplet spec, a plain
-    /// [`NocNetwork`] otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns the configuration's validation error.
-    pub fn new(cfg: NocConfig) -> Result<Self, ConfigError> {
-        if cfg.chiplet.is_some() {
-            Ok(DetailedNoc::Chiplet(ChipletNetwork::new(cfg)?))
-        } else {
-            Ok(DetailedNoc::Single(NocNetwork::new(cfg)?))
-        }
-    }
-
-    /// The (full) configuration.
-    pub fn config(&self) -> &NocConfig {
-        match self {
-            DetailedNoc::Single(n) => n.config(),
-            DetailedNoc::Chiplet(c) => c.config(),
-        }
-    }
-
-    /// Hop distance between two (global) nodes under this network's
-    /// metric — the key of the calibration latency table.
-    pub fn hops(&self, src: NodeId, dst: NodeId) -> usize {
-        match self {
-            DetailedNoc::Single(n) => n.topology().hops(src, dst),
-            DetailedNoc::Chiplet(c) => c.hops(src, dst),
-        }
-    }
-
-    /// Largest possible hop distance (sizes the latency tables).
-    pub fn diameter(&self) -> usize {
-        match self {
-            DetailedNoc::Single(n) => n.topology().diameter(),
-            DetailedNoc::Chiplet(c) => c.diameter(),
-        }
-    }
-
-    /// For a chiplet, the hop distance separating on-die from cross-die
-    /// traffic (see [`ChipletNetwork::cross_split`]); `None` on one die.
-    pub fn cross_split(&self) -> Option<usize> {
-        match self {
-            DetailedNoc::Single(_) => None,
-            DetailedNoc::Chiplet(c) => Some(c.cross_split()),
-        }
-    }
-
-    /// The next cycle to be simulated.
-    pub fn next_cycle(&self) -> u64 {
-        match self {
-            DetailedNoc::Single(n) => n.next_cycle(),
-            DetailedNoc::Chiplet(c) => c.next_cycle(),
-        }
-    }
-
-    /// Runs until drained on the serial engine (see
-    /// [`NocNetwork::run_until_drained`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Timeout`] past `budget`, or [`SimError::Invariant`].
-    pub fn run_until_drained(&mut self, budget: u64) -> Result<(), SimError> {
-        match self {
-            DetailedNoc::Single(n) => n.run_until_drained(budget),
-            DetailedNoc::Chiplet(c) => c.run_until_drained(budget),
-        }
-    }
-
-    /// Fast-forwards an idle network without simulating (see
-    /// [`NocNetwork::skip_to`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Invariant`] if traffic is still live.
-    pub fn skip_to(&mut self, cycle: u64) -> Result<(), SimError> {
-        match self {
-            DetailedNoc::Single(n) => n.skip_to(cycle),
-            DetailedNoc::Chiplet(c) => c.skip_to(cycle),
-        }
-    }
-
-    /// First stored invariant violation.
-    ///
-    /// # Errors
-    ///
-    /// The stored [`SimError::Invariant`], if any.
-    pub fn check_invariant(&self) -> Result<(), SimError> {
-        match self {
-            DetailedNoc::Single(n) => n.check_invariant(),
-            DetailedNoc::Chiplet(c) => c.check_invariant(),
-        }
-    }
-
-    /// Audits conservation invariants.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Invariant`] naming the first violated law.
-    pub fn audit(&self) -> Result<(), SimError> {
-        match self {
-            DetailedNoc::Single(n) => n.audit(),
-            DetailedNoc::Chiplet(c) => c.audit(),
-        }
-    }
-
-    /// Consecutive idle-with-traffic cycles (worst island on a chiplet).
-    pub fn idle_cycles(&self) -> u64 {
-        match self {
-            DetailedNoc::Single(n) => n.idle_cycles(),
-            DetailedNoc::Chiplet(c) => c.idle_cycles(),
-        }
-    }
-
-    /// Flits delivered so far (cheap scalar; no stats merge).
-    pub fn flits_delivered(&self) -> u64 {
-        match self {
-            DetailedNoc::Single(n) => n.stats().flits_delivered,
-            DetailedNoc::Chiplet(c) => c.flits_delivered(),
-        }
-    }
-
-    /// Flits lost to link faults so far (cheap scalar).
-    pub fn dropped_flits(&self) -> u64 {
-        match self {
-            DetailedNoc::Single(n) => n.stats().faults.flits_dropped(),
-            DetailedNoc::Chiplet(c) => c.dropped_flits(),
-        }
-    }
-
-    /// Statistics: borrowed-and-cloned for one die, merged across islands
-    /// for a chiplet (see [`ChipletNetwork::stats`]).
-    pub fn stats(&self) -> NocStats {
-        match self {
-            DetailedNoc::Single(n) => n.stats().clone(),
-            DetailedNoc::Chiplet(c) => c.stats(),
-        }
-    }
-
-    /// Attaches an observability sink.
-    pub fn set_sink(&mut self, sink: ObsSink) {
-        match self {
-            DetailedNoc::Single(n) => n.set_sink(sink),
-            DetailedNoc::Chiplet(c) => c.set_sink(sink),
-        }
-    }
-
-    /// Captures counter baselines for one detailed window.
-    pub fn window_snapshot(&self) -> DetailedSnapshot {
-        match self {
-            DetailedNoc::Single(n) => DetailedSnapshot::Single(n.window_snapshot()),
-            DetailedNoc::Chiplet(c) => DetailedSnapshot::Chiplet(c.window_snapshot()),
-        }
-    }
-
-    /// Emits the window event(s) since `since` (island-tagged per island
-    /// on a chiplet).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `since` was captured from the other shape.
-    pub fn emit_window(&self, since: &DetailedSnapshot) {
-        match (self, since) {
-            (DetailedNoc::Single(n), DetailedSnapshot::Single(s)) => n.emit_window(s),
-            (DetailedNoc::Chiplet(c), DetailedSnapshot::Chiplet(s)) => c.emit_window(s),
-            _ => panic!("window snapshot shape does not match the network"),
-        }
-    }
-
-    /// The wrapped single-die network, if this is one (diagnostics and
-    /// single-die-only tests).
-    pub fn as_single(&self) -> Option<&NocNetwork> {
-        match self {
-            DetailedNoc::Single(n) => Some(n),
-            DetailedNoc::Chiplet(_) => None,
-        }
-    }
-
-    /// The wrapped chiplet network, if this is one.
-    pub fn as_chiplet(&self) -> Option<&ChipletNetwork> {
-        match self {
-            DetailedNoc::Single(_) => None,
-            DetailedNoc::Chiplet(c) => Some(c),
-        }
-    }
-}
-
-impl Network for DetailedNoc {
-    fn inject(&mut self, msg: NetMessage, now: Cycle) {
-        match self {
-            DetailedNoc::Single(n) => n.inject(msg, now),
-            DetailedNoc::Chiplet(c) => c.inject(msg, now),
-        }
-    }
-
-    fn tick(&mut self, now: Cycle) {
-        match self {
-            DetailedNoc::Single(n) => n.tick(now),
-            DetailedNoc::Chiplet(c) => c.tick(now),
-        }
-    }
-
-    fn drain_delivered(&mut self, now: Cycle) -> Vec<Delivery> {
-        match self {
-            DetailedNoc::Single(n) => n.drain_delivered(now),
-            DetailedNoc::Chiplet(c) => c.drain_delivered(now),
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        match self {
-            DetailedNoc::Single(n) => n.in_flight(),
-            DetailedNoc::Chiplet(c) => c.in_flight(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TopologyKind;
+    use crate::traffic::{InjectionProcess, TrafficGen, TrafficPattern};
     use ra_sim::MessageClass;
 
     fn chiplet_cfg(islands: u32) -> NocConfig {
@@ -991,7 +773,6 @@ mod tests {
     #[test]
     fn chiplet_spec_validation_rejects_bad_shapes() {
         assert!(ChipletNetwork::new(chiplet_cfg(1)).is_err());
-        assert!(ChipletNetwork::new(NocConfig::new(4, 4)).is_err());
         let torus = NocConfig::new(4, 4)
             .with_topology(crate::config::TopologyKind::Torus)
             .with_chiplet(ChipletSpec::new(2, InterposerClass::Silicon));
@@ -1010,13 +791,93 @@ mod tests {
     #[test]
     fn single_die_network_rejects_chiplet_configs() {
         assert!(NocNetwork::new(chiplet_cfg(2)).is_err());
-        assert!(DetailedNoc::new(chiplet_cfg(2)).is_ok());
+        assert!(ChipletNetwork::new(chiplet_cfg(2)).is_ok());
+    }
+
+    /// Drives generated request and response traffic for 300 cycles,
+    /// draining every 50, then runs the network dry.
+    fn drive<N: Network>(net: &mut N, drain: impl Fn(&mut N)) -> Vec<Delivery> {
+        let mut gens = [
+            TrafficGen::new(
+                8,
+                4,
+                TrafficPattern::Uniform,
+                InjectionProcess::Bernoulli { rate: 0.06 },
+                3,
+            ),
+            TrafficGen::new(
+                8,
+                4,
+                TrafficPattern::BitComplement,
+                InjectionProcess::Bernoulli { rate: 0.03 },
+                4,
+            )
+            .with_class(MessageClass::Response)
+            .with_payload_bytes(72),
+        ];
+        let mut out = Vec::new();
+        for now in 0..300 {
+            for gen in &mut gens {
+                gen.inject_cycle(net, Cycle(now));
+            }
+            net.tick(Cycle(now));
+            if now % 50 == 49 {
+                out.extend(net.drain_delivered(Cycle(now)));
+            }
+        }
+        drain(net);
+        out.extend(net.drain_delivered(Cycle(0)));
+        out
+    }
+
+    #[test]
+    fn a_single_die_config_builds_a_one_island_network_equal_to_the_die() {
+        assert!(ChipletNetwork::new(NocConfig::new(4, 4)).is_ok());
+        let configs = [
+            NocConfig::new(8, 4),
+            NocConfig::new(8, 4)
+                .with_topology(TopologyKind::Torus)
+                .with_seed(2),
+            NocConfig::new(8, 4).with_topology(TopologyKind::CMesh { concentration: 2 }),
+            // A link dead from cycle 0 loses nothing: traffic detours.
+            NocConfig::new(8, 4).with_faults(FaultPlan::new().kill_link(9, 0, 0)),
+        ];
+        let mut faulted = false;
+        for cfg in configs {
+            let mut die = NocNetwork::new(cfg.clone()).unwrap();
+            let mut chip = ChipletNetwork::new(cfg.clone()).unwrap();
+            let want = drive(&mut die, |n| n.run_until_drained(100_000).unwrap());
+            let got = drive(&mut chip, |n| n.run_until_drained(100_000).unwrap());
+            let name = format!("{:?}", cfg.topology);
+            assert!(!want.is_empty(), "{name}");
+            assert_eq!(die.in_flight(), 0, "{name}");
+            assert_eq!(got, want, "{name}: deliveries");
+            assert_eq!(chip.stats(), *die.stats(), "{name}: stats");
+            let routers = |rs: &[crate::Router]| {
+                rs.iter()
+                    .map(|r| (format!("{:?}", r.event_counts()), r.compute_invocations()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(chip.islands().len(), 1, "{name}");
+            assert_eq!(
+                routers(chip.islands()[0].routers()),
+                routers(die.routers()),
+                "{name}: router counters"
+            );
+            assert_eq!(chip.diameter(), die.topology().diameter(), "{name}");
+            assert_eq!(chip.cross_split(), None, "{name}");
+            assert_eq!(chip.spec(), None, "{name}");
+            assert_eq!(chip.next_cycle(), die.next_cycle(), "{name}");
+            chip.audit().unwrap();
+            faulted |= chip.stats().faults.reroutes > 0;
+        }
+        assert!(faulted, "the dead link must reroute traffic");
     }
 
     #[test]
     fn hop_bands_are_disjoint() {
         let net = ChipletNetwork::new(chiplet_cfg(2)).unwrap();
-        let d = net.cross_split();
+        let d = net.cross_split().unwrap();
         assert_eq!(d, 6);
         assert_eq!(net.diameter(), 3 * d + 1);
         for s in 0..32u32 {

@@ -1,14 +1,13 @@
 //! NoC configuration.
 
 use ra_sim::{ConfigError, MeshShape, MessageClass};
-use serde::{Deserialize, Serialize};
 
 use crate::chiplet::ChipletSpec;
 use crate::fault::FaultPlan;
 use crate::router::{MAX_PORTS, MAX_VCS, MAX_VC_DEPTH};
 
 /// Network topology of the cycle-level NoC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// 2-D mesh; XY routing is deadlock-free with a single VC class.
     Mesh,
@@ -23,7 +22,7 @@ pub enum TopologyKind {
 }
 
 /// Routing algorithm for 2-D topologies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Routing {
     /// Dimension-order: X first, then Y. Deadlock-free on a mesh.
     #[default]
@@ -56,7 +55,7 @@ pub enum Routing {
 /// assert_eq!(cfg.shape.nodes(), 64);
 /// cfg.validate().expect("valid configuration");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NocConfig {
     /// Node grid shape (for CMesh this is the *node* grid; the router grid
     /// is derived by dividing columns by the concentration).
@@ -88,8 +87,7 @@ pub struct NocConfig {
     /// joined by an interposer (see
     /// [`ChipletSpec`](crate::chiplet::ChipletSpec)). `None` (the
     /// default) is a single die. A config carrying a spec must be built
-    /// with [`DetailedNoc::new`](crate::chiplet::DetailedNoc::new) or
-    /// [`ChipletNetwork::new`](crate::chiplet::ChipletNetwork::new);
+    /// with [`ChipletNetwork::new`](crate::chiplet::ChipletNetwork::new);
     /// [`NocNetwork::new`](crate::NocNetwork::new) rejects it.
     pub chiplet: Option<ChipletSpec>,
 }

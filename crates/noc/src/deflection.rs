@@ -20,7 +20,6 @@
 
 
 use ra_sim::{ConfigError, Cycle, Delivery, MeshShape, NetMessage, Network, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::stats::NocStats;
 use crate::wire::Wire;
@@ -33,7 +32,7 @@ const WEST: usize = 3;
 const DIRS: usize = 4;
 
 /// Configuration of a deflection-routed mesh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeflectionConfig {
     /// Node grid (one router per node).
     pub shape: MeshShape,

@@ -30,7 +30,6 @@
 //! [`NocStats::faults`](crate::NocStats).
 
 use ra_sim::{ConfigError, Pcg32};
-use serde::{Deserialize, Serialize};
 
 use crate::topology::TopologyMap;
 
@@ -44,7 +43,7 @@ const FAULT_SEED_SALT: u64 = 0xFA01_7BAD_5EED_0001;
 /// Events naming a link that does not exist (a mesh edge) are ignored at
 /// expansion time, which keeps convenience builders like
 /// [`FaultPlan::isolate_router`] usable on border routers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// The physical channel between `router` and its neighbour in `dir`
     /// dies permanently at cycle `from`.
@@ -100,7 +99,7 @@ pub enum FaultEvent {
 /// assert_eq!(plan.events().len(), 3);
 /// assert!(plan.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

@@ -1,12 +1,10 @@
 //! Flits: the unit of link transfer inside the cycle-level NoC.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of an in-flight packet in the network's packet table.
 pub type PacketId = u32;
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FlitKind {
     /// First flit: carries routing information.
     #[default]
@@ -49,7 +47,7 @@ impl FlitKind {
 /// Flits carry everything a router needs to process them (destination, vnet,
 /// routing metadata), so routers never consult shared packet state — a
 /// prerequisite for the data-parallel execution engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Flit {
     /// Owning packet.
     pub pkt: PacketId,

@@ -17,6 +17,9 @@
 //!   kill or degrade links and stall routers; routing detours around
 //!   permanent dead links and [`NocStats::faults`] counts what was
 //!   absorbed vs. lost;
+//! * **Chiplets** ([`ChipletNetwork`]): the network a co-simulation steps,
+//!   N dies ([`NocNetwork`] islands) behind an interposer, with a config
+//!   that names no [`ChipletSpec`] built as one island — the die itself;
 //! * Full [`NocStats`]: latency breakdowns, per-(class, hops) tables,
 //!   throughput and histograms.
 //!
@@ -61,8 +64,7 @@ pub mod traffic;
 pub mod wire;
 
 pub use chiplet::{
-    ChipletNetwork, ChipletSpec, ChipletWindowSnapshot, DetailedNoc, DetailedSnapshot,
-    InterposerClass, InterposerStats,
+    ChipletNetwork, ChipletSpec, ChipletWindowSnapshot, InterposerClass, InterposerStats,
 };
 pub use config::{NocConfig, Routing, TopologyKind};
 pub use deflection::{DeflectionConfig, DeflectionNetwork};

@@ -269,8 +269,8 @@ impl NocNetwork {
         cfg.validate()?;
         if cfg.chiplet.is_some() {
             return Err(ra_sim::ConfigError::new(
-                "config carries a chiplet spec: build it with DetailedNoc::new \
-                 (or ChipletNetwork::new), not NocNetwork::new",
+                "config carries a chiplet spec: build it with ChipletNetwork::new, \
+                 not NocNetwork::new",
             ));
         }
         let topo = TopologyMap::new(&cfg);

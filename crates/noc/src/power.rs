@@ -10,13 +10,11 @@
 //! traffic levels) are meaningful — swap them for a calibrated technology
 //! model if absolute Joules matter.
 
-use serde::{Deserialize, Serialize};
-
 use crate::network::NocNetwork;
 use crate::router::RouterStats;
 
 /// Per-event energies in picojoules, plus per-router leakage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Writing one flit into an input buffer.
     pub buffer_write_pj: f64,

@@ -5,10 +5,9 @@
 //! comparing against the message stream a real full system produces.
 
 use ra_sim::{Cycle, MessageClass, NetMessage, Network, NodeId, Pcg32};
-use serde::{Deserialize, Serialize};
 
 /// Spatial traffic pattern: who talks to whom.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficPattern {
     /// Every destination equally likely (excluding self).
     Uniform,
@@ -74,7 +73,7 @@ impl TrafficPattern {
 }
 
 /// Temporal injection process: when each node offers a message.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InjectionProcess {
     /// Independent Bernoulli trial per node per cycle.
     Bernoulli {

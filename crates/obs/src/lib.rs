@@ -8,7 +8,7 @@
 //! observations without perturbing the thing being measured:
 //!
 //! * the **coupler** emits one [`Event::QuantumReport`] per calibration
-//!   (predicted vs measured latency, drift, quantum resize), plus
+//!   (predicted vs measured latency, drift), plus
 //!   [`Event::WatchdogTrip`] and [`Event::Degradation`] transitions;
 //! * the **detailed NoC** emits one [`Event::NocWindow`] per calibration
 //!   window (router steps, fast-forwarded cycles, per-virtual-network
@@ -16,12 +16,16 @@
 //! * the **parallel engine** emits one [`Event::EngineBatch`] per batched
 //!   job (worker range cuts, barrier wait, batch size);
 //! * wall-clock [`Event::Span`]s (`detailed_step` / `calibrate` /
-//!   `fullsys_step`) roll up into the T2-style simulation-time breakdown
-//!   via [`TimeBreakdown`];
+//!   `fullsys_step`) time the T2-style simulation phases;
 //! * the **job service** (`ra-serve`) emits per-job lifecycle events —
 //!   [`Event::JobAdmitted`], [`Event::JobRejected`] (the backpressure
 //!   signal), [`Event::CacheHit`], [`Event::JobDone`] — at job
 //!   granularity, orders of magnitude rarer than even window events.
+//!
+//! The crate also owns the workspace's one JSON writer: [`Event::to_json`]
+//! renders the JSONL lines, and [`json_object`] builds the job service's
+//! wire, journal and store lines, both through one string escape and one
+//! float format.
 //!
 //! # The cost model
 //!
@@ -118,8 +122,8 @@ pub enum Event {
         samples: u64,
         /// Calibration quantum entering the window, in cycles.
         quantum_before: u64,
-        /// Quantum after the adaptive controller's decision (equal to
-        /// `quantum_before` when static or unchanged).
+        /// Quantum after the calibration: the quantum is fixed for a run,
+        /// so this equals `quantum_before`.
         quantum_after: u64,
     },
     /// The watchdog tore down the detailed model.
@@ -163,8 +167,7 @@ pub enum Event {
         drift: f64,
         /// Simulated cycles executed speculatively and thrown away.
         wasted_cycles: u64,
-        /// Model queries whose re-fit answer differed (0 when the
-        /// rollback was forced by an adaptive quantum resize instead).
+        /// Model queries whose re-fit answer differed.
         mismatches: u64,
     },
     /// One detailed-NoC calibration window's execution profile.
@@ -659,8 +662,81 @@ impl Event {
     }
 }
 
-/// Minimal hand-rolled JSON object writer (the vendored `serde` stub cannot
-/// serialize, so the export format is built by hand, as in `ra-bench`).
+/// Appends `s` as a quoted JSON string.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Appends a float with full precision; a non-finite one as `null`.
+fn push_json_num(out: &mut String, x: f64) {
+    if x.is_finite() {
+        out.push_str(&format!("{x}"));
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// One field of a hand-built JSON object (see [`json_object`]).
+#[derive(Debug, Clone)]
+pub enum JsonField {
+    /// A JSON string (escaped on output).
+    Str(String),
+    /// A float, emitted with full precision (`null` when not finite).
+    Num(f64),
+    /// An unsigned integer.
+    Int(u64),
+    /// Pre-formatted JSON emitted verbatim (nested objects built with
+    /// [`json_object`]).
+    Raw(String),
+}
+
+/// Formats one JSON object from field name/value pairs — the writer of
+/// every JSON line the job service puts on the wire, in its journal and
+/// in its result store.
+///
+/// # Example
+///
+/// ```
+/// use ra_obs::{json_object, JsonField};
+/// let row = json_object(&[
+///     ("name", JsonField::Str("mesh".into())),
+///     ("cycles", JsonField::Int(100)),
+/// ]);
+/// assert_eq!(row, r#"{"name":"mesh","cycles":100}"#);
+/// ```
+pub fn json_object(fields: &[(&str, JsonField)]) -> String {
+    let mut out = String::from("{");
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_str(&mut out, key);
+        out.push(':');
+        match value {
+            JsonField::Str(s) => push_json_str(&mut out, s),
+            JsonField::Num(x) => push_json_num(&mut out, *x),
+            JsonField::Int(n) => out.push_str(&n.to_string()),
+            JsonField::Raw(json) => out.push_str(json),
+        }
+    }
+    out.push('}');
+    out
+}
+
+/// The [`Event::to_json`] writer: one object, keyed by static
+/// identifiers.
 struct JsonWriter {
     out: String,
 }
@@ -686,21 +762,7 @@ impl JsonWriter {
 
     fn str(&mut self, key: &str, value: &str) {
         self.key(key);
-        self.out.push('"');
-        for c in value.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
+        push_json_str(&mut self.out, value);
     }
 
     fn int(&mut self, key: &str, value: u64) {
@@ -719,11 +781,7 @@ impl JsonWriter {
 
     fn num(&mut self, key: &str, value: f64) {
         self.key(key);
-        if value.is_finite() {
-            self.out.push_str(&format!("{value}"));
-        } else {
-            self.out.push_str("null");
-        }
+        push_json_num(&mut self.out, value);
     }
 
     fn int_array(&mut self, key: &str, values: &[u64]) {
@@ -812,11 +870,6 @@ impl RingRecorder {
     /// Total events ever recorded, including those evicted by the bound.
     pub fn seen(&self) -> u64 {
         self.seen
-    }
-
-    /// Rolls the retained [`Event::Span`]s up into a time breakdown.
-    pub fn breakdown(&self) -> TimeBreakdown {
-        TimeBreakdown::from_events(self.events())
     }
 }
 
@@ -993,81 +1046,6 @@ impl ObsSink {
     }
 }
 
-/// T2-style simulation-time decomposition, rolled up from [`Event::Span`]s.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimeBreakdown {
-    /// Nanoseconds stepping the detailed cycle-level NoC.
-    pub detailed_ns: u64,
-    /// Nanoseconds measuring + re-fitting the calibrated model.
-    pub calibrate_ns: u64,
-    /// Nanoseconds in the full system and fast path (the remainder).
-    pub fullsys_ns: u64,
-    /// Speculative quanta verified and kept (pipelined mode; 0 serial).
-    pub spec_commits: u64,
-    /// Speculative quanta rolled back and re-run serially.
-    pub spec_rollbacks: u64,
-    /// Simulated cycles speculated and then discarded by rollbacks.
-    pub spec_wasted_cycles: u64,
-}
-
-impl TimeBreakdown {
-    /// Adds one span.
-    pub fn add(&mut self, kind: SpanKind, nanos: u64) {
-        match kind {
-            SpanKind::DetailedStep => self.detailed_ns += nanos,
-            SpanKind::Calibrate => self.calibrate_ns += nanos,
-            SpanKind::FullsysStep => self.fullsys_ns += nanos,
-        }
-    }
-
-    /// Rolls up every [`Event::Span`] (and speculation decision) in
-    /// `events`.
-    pub fn from_events<'a>(events: impl IntoIterator<Item = &'a Event>) -> Self {
-        let mut out = TimeBreakdown::default();
-        for event in events {
-            match event {
-                Event::Span { kind, nanos } => out.add(*kind, *nanos),
-                Event::SpecCommit { .. } => out.spec_commits += 1,
-                Event::SpecRollback { wasted_cycles, .. } => {
-                    out.spec_rollbacks += 1;
-                    out.spec_wasted_cycles += wasted_cycles;
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// Speculation decisions taken (commits + rollbacks; 0 when serial).
-    pub fn spec_decisions(&self) -> u64 {
-        self.spec_commits + self.spec_rollbacks
-    }
-
-    /// Fraction of speculation decisions that rolled back (0 when none).
-    pub fn rollback_ratio(&self) -> f64 {
-        let total = self.spec_decisions();
-        if total == 0 {
-            return 0.0;
-        }
-        self.spec_rollbacks as f64 / total as f64
-    }
-
-    /// Total accounted nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.detailed_ns + self.calibrate_ns + self.fullsys_ns
-    }
-
-    /// Share of the total spent in the detailed NoC (0 when empty) — the
-    /// fraction a coprocessor can attack (experiment T2).
-    pub fn detailed_share(&self) -> f64 {
-        let total = self.total_ns();
-        if total == 0 {
-            return 0.0;
-        }
-        self.detailed_ns as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1132,64 +1110,20 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_rolls_up_spans_only() {
-        let mut ring = RingRecorder::new(16);
-        ring.record(&Event::Span {
-            kind: SpanKind::DetailedStep,
-            nanos: 100,
-        });
-        ring.record(&Event::Span {
-            kind: SpanKind::DetailedStep,
-            nanos: 50,
-        });
-        ring.record(&Event::Span {
-            kind: SpanKind::Calibrate,
-            nanos: 25,
-        });
-        ring.record(&Event::Span {
-            kind: SpanKind::FullsysStep,
-            nanos: 25,
-        });
-        ring.record(&Event::WatchdogTrip {
-            cycle: 7,
-            cause: "not a span".into(),
-        });
-        let b = ring.breakdown();
-        assert_eq!(b.detailed_ns, 150);
-        assert_eq!(b.calibrate_ns, 25);
-        assert_eq!(b.fullsys_ns, 25);
-        assert_eq!(b.total_ns(), 200);
-        assert!((b.detailed_share() - 0.75).abs() < 1e-12);
+    fn json_raw_embeds_verbatim() {
+        let row = json_object(&[("trips", JsonField::Raw("[{\"cycle\":5}]".into()))]);
+        assert_eq!(row, "{\"trips\":[{\"cycle\":5}]}");
     }
 
     #[test]
-    fn breakdown_counts_speculation_decisions() {
-        let mut ring = RingRecorder::new(16);
-        ring.record(&Event::SpecCommit {
-            window: 0,
-            boundary: 2_000,
-            drift: 0.1,
-            speculated_cycles: 2_000,
-        });
-        ring.record(&Event::SpecCommit {
-            window: 1,
-            boundary: 4_000,
-            drift: 0.2,
-            speculated_cycles: 2_000,
-        });
-        ring.record(&Event::SpecRollback {
-            window: 2,
-            boundary: 6_000,
-            drift: 11.0,
-            wasted_cycles: 1_500,
-            mismatches: 2,
-        });
-        let b = ring.breakdown();
-        assert_eq!(b.spec_commits, 2);
-        assert_eq!(b.spec_rollbacks, 1);
-        assert_eq!(b.spec_wasted_cycles, 1_500);
-        assert_eq!(b.spec_decisions(), 3);
-        assert!((b.rollback_ratio() - 1.0 / 3.0).abs() < 1e-12);
+    fn json_escapes_and_formats() {
+        let row = json_object(&[
+            ("s", JsonField::Str("a\"b\\c\nd".into())),
+            ("x", JsonField::Num(1.5)),
+            ("nan", JsonField::Num(f64::NAN)),
+            ("n", JsonField::Int(7)),
+        ]);
+        assert_eq!(row, "{\"s\":\"a\\\"b\\\\c\\nd\",\"x\":1.5,\"nan\":null,\"n\":7}");
     }
 
     #[test]

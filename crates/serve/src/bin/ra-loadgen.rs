@@ -55,7 +55,6 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use ra_bench::percentile;
 use ra_serve::{ErrorCode, Json, Response, SubmitItem, WireClient};
 
 struct Args {
@@ -952,4 +951,36 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// Nearest-rank percentile of an unsorted sample (0 if empty). `p` is in
+/// percent: 50 is the median, 99 the tail.
+fn percentile(xs: &[f64], p: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut sorted: Vec<f64> = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentile;
+
+    #[test]
+    fn percentile_nearest_rank() {
+        assert_eq!(percentile(&[], 50.0), 0.0);
+        assert_eq!(percentile(&[7.0], 99.0), 7.0);
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&xs, 50.0), 50.0);
+        assert_eq!(percentile(&xs, 95.0), 95.0);
+        assert_eq!(percentile(&xs, 99.0), 99.0);
+        assert_eq!(percentile(&xs, 0.0), 1.0, "p0 clamps to the minimum");
+        // Order must not matter.
+        let mut rev = xs.clone();
+        rev.reverse();
+        assert_eq!(percentile(&rev, 95.0), 95.0);
+    }
 }

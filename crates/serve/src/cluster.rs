@@ -68,9 +68,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ra_bench::{json_object, JsonField};
 use ra_cosim::ModeSpec;
-use ra_obs::{Event, ObsSink};
+use ra_obs::{json_object, Event, JsonField, ObsSink};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::health::{HealthMachine, HealthPolicy, NodeState, Transition};

@@ -29,7 +29,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-use ra_bench::{json_object, JsonField};
+use ra_obs::{json_object, JsonField};
 
 pub use crate::frame::{frame, read_frames, RecoveryReport};
 pub(crate) use crate::frame::FrameWriter;

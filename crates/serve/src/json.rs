@@ -1,9 +1,8 @@
 //! A minimal JSON reader for the wire layer.
 //!
-//! The workspace's vendored `serde` is a no-op marker stub (see the root
-//! `vendor/` README), so the service cannot derive deserializers; every
-//! crate here hand-writes its JSON *output* (`ra_bench::json_object`,
-//! the obs `JsonlRecorder`). This module is the matching *input* side: a
+//! The workspace takes no serialization dependency, so every crate here
+//! hand-writes its JSON *output* (`ra_obs::json_object`, the obs
+//! `JsonlRecorder`). This module is the matching *input* side: a
 //! small recursive-descent parser producing a [`Json`] tree, plus typed
 //! accessors for the flat request/response objects the protocol uses.
 //!
@@ -324,13 +323,13 @@ mod tests {
 
     #[test]
     fn bench_json_output_parses_back() {
-        // The server emits with ra_bench's writer; the client parses with
+        // The server emits with ra_obs's writer; the client parses with
         // this module. Keep the two ends compatible.
-        let line = ra_bench::json_object(&[
-            ("ok", ra_bench::JsonField::Raw("true".into())),
-            ("job", ra_bench::JsonField::Str("00c0ffee00c0ffee".into())),
-            ("depth", ra_bench::JsonField::Int(3)),
-            ("ratio", ra_bench::JsonField::Num(0.625)),
+        let line = ra_obs::json_object(&[
+            ("ok", ra_obs::JsonField::Raw("true".into())),
+            ("job", ra_obs::JsonField::Str("00c0ffee00c0ffee".into())),
+            ("depth", ra_obs::JsonField::Int(3)),
+            ("ratio", ra_obs::JsonField::Num(0.625)),
         ]);
         let parsed = Json::parse(&line).unwrap();
         assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(true));

@@ -18,8 +18,8 @@
 //! machine-readable `code` (mirroring `error`, which stays first for old
 //! clients) and the offending `verb` — see [`WireError`].
 
-use ra_bench::{json_object, JsonField};
 use ra_cosim::RunResult;
+use ra_obs::{json_object, JsonField};
 
 use crate::json::Json;
 use crate::spec::Fidelity;

@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ra_bench::{json_object, JsonField};
 use ra_cosim::RunResult;
+use ra_obs::{json_object, JsonField};
 use ra_sim::Summary;
 
 use crate::frame::{read_frames, FrameWriter, RecoveryReport};

@@ -43,8 +43,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ra_bench::{json_object, JsonField};
-use ra_obs::Event;
+use ra_obs::{json_object, Event, JsonField};
 
 use crate::codec::{BinaryCodec, Codec};
 use crate::frame::{self, FrameStep};

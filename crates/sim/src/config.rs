@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ConfigError;
 use crate::time::NodeId;
 
@@ -25,7 +23,7 @@ use crate::time::NodeId;
 /// assert_eq!(shape.mesh_hops(NodeId(0), NodeId(15)), 6);
 /// # Ok::<(), ra_sim::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeshShape {
     cols: u32,
     rows: u32,

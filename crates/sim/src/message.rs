@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::NodeId;
 
 /// Globally unique message identity, assigned by the injecting component.
@@ -17,7 +15,7 @@ pub type MessageId = u64;
 /// deadlock cannot form (a reply can never be blocked behind a request).
 /// Abstract latency models calibrate per class because the classes have very
 /// different size and locality profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MessageClass {
     /// Cache-miss requests and directory forwards (small control messages).
     Request,
@@ -93,7 +91,7 @@ impl fmt::Display for MessageClass {
 /// assert_eq!(m.size_bytes, 72);
 /// assert_eq!(m.flits(16), 5); // 72 bytes over 16-byte links -> 5 flits
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NetMessage {
     /// Unique id, assigned by the injector; used to match deliveries.
     pub id: MessageId,

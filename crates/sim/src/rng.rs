@@ -9,8 +9,6 @@
 //! still used at the workload-construction layer where distribution adaptors
 //! are convenient.
 
-use serde::{Deserialize, Serialize};
-
 const MULTIPLIER: u64 = 6364136223846793005;
 
 /// A PCG-XSH-RR 64/32 generator: 64-bit state, 32-bit output.
@@ -30,7 +28,7 @@ const MULTIPLIER: u64 = 6364136223846793005;
 /// let mut c = Pcg32::new(42, 1);
 /// assert_ne!(a.next_u32(), c.next_u32()); // different stream id
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pcg32 {
     state: u64,
     inc: u64,

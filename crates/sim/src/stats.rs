@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::message::MessageClass;
 
 /// Streaming summary of a scalar series: count, mean, variance, min, max.
@@ -24,7 +22,7 @@ use crate::message::MessageClass;
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.std_dev() - 2.138089935299395).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -185,7 +183,7 @@ impl fmt::Display for Summary {
 /// assert_eq!(h.overflow(), 1);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     width: u64,
     bins: Vec<u64>,
@@ -274,7 +272,7 @@ impl Histogram {
 /// loop: average observed latency keyed by message class and hop count. It is
 /// also the shape of the calibrated abstract model's parameter table, which
 /// is what makes the reciprocal exchange a simple fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyTable {
     max_hops: usize,
     cells: Vec<Summary>, // [class][hops] flattened

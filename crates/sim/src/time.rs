@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, measured in target clock cycles.
 ///
 /// All simulators in the workspace advance in units of `Cycle`. The type is a
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(end, Cycle(125));
 /// assert_eq!(end - start, 25);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 
 impl Cycle {
@@ -130,9 +126,7 @@ impl From<u64> for Cycle {
 /// let n = NodeId(7);
 /// assert_eq!(n.index(), 7);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -20,14 +20,13 @@
 
 use ra_fullsys::workload::{Op, Workload};
 use ra_sim::{ConfigError, Pcg32};
-use serde::{Deserialize, Serialize};
 
 /// Shape of a DNN-style pipeline workload.
 ///
 /// Parsed from and rendered to the canonical spec string
 /// `dnn:layers=<n>,tensor=<bytes>` (both keys optional; `dnn` alone is
 /// the default shape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DnnSpec {
     /// Pipeline depth: number of layer-to-layer handoffs per pass.
     pub layers: u32,

@@ -2,7 +2,6 @@
 
 use ra_fullsys::workload::{Op, Workload};
 use ra_sim::Pcg32;
-use serde::{Deserialize, Serialize};
 
 /// Traffic-relevant parameters of one application class.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// | `water` | low | mild | low sharing |
 /// | `blackscholes` | very low | none | private |
 /// | `canneal` | high | none | uniform, huge footprint |
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     /// Display name.
     pub name: String,

@@ -29,7 +29,6 @@ use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::{BufMut, Bytes, BytesMut};
 use ra_fullsys::workload::{Op, Workload};
 
 const TAG_COMPUTE: u8 = 0;
@@ -190,7 +189,7 @@ impl<W: Workload> TraceRecorder<W> {
     }
 
     /// Serializes the recorded trace.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         encode(&self.log)
     }
 
@@ -550,30 +549,30 @@ fn read_exact_at(
     }
 }
 
-fn encode(log: &[Vec<Op>]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32(MAGIC);
-    buf.put_u32(log.len() as u32);
+fn encode(log: &[Vec<Op>]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&MAGIC.to_be_bytes());
+    buf.extend_from_slice(&(log.len() as u32).to_be_bytes());
     for ops in log {
-        buf.put_u32(ops.len() as u32);
+        buf.extend_from_slice(&(ops.len() as u32).to_be_bytes());
         for op in ops {
             match *op {
                 Op::Compute(n) => {
-                    buf.put_u8(TAG_COMPUTE);
-                    buf.put_u32(n);
+                    buf.push(TAG_COMPUTE);
+                    buf.extend_from_slice(&n.to_be_bytes());
                 }
                 Op::Load(a) => {
-                    buf.put_u8(TAG_LOAD);
-                    buf.put_u64(a);
+                    buf.push(TAG_LOAD);
+                    buf.extend_from_slice(&a.to_be_bytes());
                 }
                 Op::Store(a) => {
-                    buf.put_u8(TAG_STORE);
-                    buf.put_u64(a);
+                    buf.push(TAG_STORE);
+                    buf.extend_from_slice(&a.to_be_bytes());
                 }
             }
         }
     }
-    buf.freeze()
+    buf
 }
 
 #[cfg(test)]
@@ -634,22 +633,22 @@ mod tests {
             TraceErrorKind::BadMagic { found: 0xdead_beef }
         );
 
-        let mut bytes = BytesMut::new();
-        bytes.put_u32(MAGIC);
-        bytes.put_u32(1);
-        bytes.put_u32(1);
-        bytes.put_u8(9); // bogus tag at offset 12
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC.to_be_bytes());
+        bytes.extend_from_slice(&1u32.to_be_bytes());
+        bytes.extend_from_slice(&1u32.to_be_bytes());
+        bytes.push(9); // bogus tag at offset 12
         let err = TraceReplay::from_bytes(&bytes).unwrap_err();
         assert_eq!(err.offset, 12);
         assert_eq!(err.kind, TraceErrorKind::UnknownTag { tag: 9 });
 
         // Truncated payload after a valid tag.
-        let mut bytes = BytesMut::new();
-        bytes.put_u32(MAGIC);
-        bytes.put_u32(1);
-        bytes.put_u32(1);
-        bytes.put_u8(TAG_LOAD);
-        bytes.put_u8(0);
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC.to_be_bytes());
+        bytes.extend_from_slice(&1u32.to_be_bytes());
+        bytes.extend_from_slice(&1u32.to_be_bytes());
+        bytes.push(TAG_LOAD);
+        bytes.push(0);
         let err = TraceReplay::from_bytes(&bytes).unwrap_err();
         assert_eq!(err.offset, 12);
         assert!(matches!(err.kind, TraceErrorKind::Truncated { .. }));
@@ -717,12 +716,12 @@ mod tests {
         assert!(matches!(err.kind, TraceErrorKind::BadMagic { .. }));
         std::fs::remove_file(&path).ok();
 
-        let mut bytes = BytesMut::new();
-        bytes.put_u32(MAGIC);
-        bytes.put_u32(1);
-        bytes.put_u32(2);
-        bytes.put_u8(TAG_COMPUTE);
-        bytes.put_u32(7);
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC.to_be_bytes());
+        bytes.extend_from_slice(&1u32.to_be_bytes());
+        bytes.extend_from_slice(&2u32.to_be_bytes());
+        bytes.push(TAG_COMPUTE);
+        bytes.extend_from_slice(&7u32.to_be_bytes());
         // Second op missing entirely.
         let path = temp_trace("truncated", &bytes);
         let err = TraceStream::open(&path).unwrap_err();

@@ -505,7 +505,7 @@ fn chiplet_hop_metric_matches_chiplet_network() {
         assert_eq!(metric.diameter(), net.diameter(), "{} diameter", target.name);
         assert_eq!(
             metric.cross_split(),
-            Some(net.cross_split()),
+            net.cross_split(),
             "{} cross-die split",
             target.name
         );

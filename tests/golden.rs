@@ -122,17 +122,12 @@ fn cosim_case(target: &Target) -> Golden {
     let messages = sys.stats().total_messages();
     let net = sys.into_network();
     let detailed = net.detailed();
-    let stats = detailed.stats();
-    match (detailed.as_single(), detailed.as_chiplet()) {
-        (Some(n), _) => golden(cycles, messages, &stats, n.routers().iter()),
-        (_, Some(c)) => golden(
-            cycles,
-            messages,
-            &stats,
-            c.islands().iter().flat_map(|i| i.routers()),
-        ),
-        _ => unreachable!("a detailed network is one die or a chiplet"),
-    }
+    golden(
+        cycles,
+        messages,
+        &detailed.stats(),
+        detailed.islands().iter().flat_map(|i| i.routers()),
+    )
 }
 
 #[test]
