@@ -336,138 +336,339 @@ fn serve_wire_round_trip_reaches_the_driver_and_memoizes() {
     handle.stop();
 }
 
-/// Every request and response the wire understands must survive a
-/// round-trip through both codecs unchanged — the typed enums are the
-/// contract, the codecs are interchangeable transports. The binary
-/// frames additionally unwrap through the shared frame reader, the
-/// same path the server and client use.
+/// The wire's bytes, pinned: every message shape both codecs speak, with
+/// its exact JSON line and the body of its binary frame in hex (the frame
+/// around it is `frame_bytes`'s, checked here too). Encoding a message
+/// must give exactly these bytes, and decoding them must give the message
+/// back. A few messages are binary only: a JSON number carries an
+/// integer exactly only up to 2^53, and `f64::MIN_POSITIVE` prints as 330
+/// digits.
 #[test]
 fn wire_protocol_round_trips_every_message_through_both_codecs() {
     use reciprocal_abstraction::serve::proto::{
         ErrorCode, OutcomeOk, Request, Response, ResultBody, SubmitItem, SubmitOk, WireError,
     };
-    use reciprocal_abstraction::serve::{frame, BinaryCodec, Codec, FrameStep, JsonCodec};
+    use reciprocal_abstraction::serve::{frame, BinaryCodec, Codec, JsonCodec};
 
-    let requests = vec![
-        Request::Submit(SubmitItem::new("target=2x2 app=water mode=hop")),
-        Request::Submit(
-            SubmitItem::new("target=4x4 app=fft mode=lockstep")
-                .priority("high")
-                .deadline_ms(1_500),
+    let body = ResultBody {
+        workload: "water".to_owned(),
+        mode: "reciprocal".to_owned(),
+        cycles: 123_456,
+        messages: 789,
+        ipc: 0.1 + 0.2, // not representable: every bit must survive both codecs
+        latency_mean: 17.5,
+        latency_count: 789,
+        calibrations: 4,
+        fidelity: None,
+        error_bound: None,
+    };
+    let tagged = ResultBody {
+        fidelity: Some("calibrated".to_owned()),
+        error_bound: Some(0.15),
+        ..body.clone()
+    };
+    let submit_ok = |ticket, disposition: &str, depth, node, edge| {
+        Response::Submit(SubmitOk {
+            ticket,
+            job: "00c0ffee00c0ffee".to_owned(),
+            disposition: disposition.to_owned(),
+            depth,
+            node,
+            edge,
+        })
+    };
+    let outcome = |outcome: &str, detail: Option<&str>, ns: Option<u64>, body| {
+        Response::Outcome(OutcomeOk {
+            outcome: outcome.to_owned(),
+            detail: detail.map(str::to_owned),
+            queue_ns: ns,
+            run_ns: ns.map(|ns| ns * 2),
+            body,
+        })
+    };
+    let status = |state: &str| Response::Status {
+        state: state.to_owned(),
+    };
+
+    let requests: Vec<(Request, Option<&str>, &str)> = vec![
+        (
+            Request::Submit(SubmitItem::new("target=2x2 app=water mode=hop")),
+            Some(r#"{"verb":"submit","spec":"target=2x2 app=water mode=hop"}"#),
+            "01 1d 74 61 72 67 65 74 3d 32 78 32 20 61 70 70 3d 77 61 74 65 72 20 6d 6f 64 65 3d 68 6f 70 00 00 00 00 00",
         ),
-        Request::SubmitBatch(vec![
-            SubmitItem::new("target=2x2 app=water mode=hop"),
-            SubmitItem::new("target=2x2 app=ocean mode=hop").priority("low"),
-        ]),
-        Request::Status { ticket: 7 },
-        Request::StatusBatch { tickets: vec![1, 2, 9_007_199_254_740_991] },
-        Request::Result { ticket: 9, timeout_ms: None },
-        Request::Result { ticket: 9, timeout_ms: Some(30_000) },
-        Request::ResultBatch { tickets: vec![3, 4], timeout_ms: Some(250) },
-        Request::ResultBatch { tickets: vec![], timeout_ms: None },
-        Request::Cancel { ticket: 12 },
-        Request::Stats,
-        Request::Health,
-        Request::NodeStats,
+        (
+            Request::Submit(
+                SubmitItem::new("target=4x4 app=fft")
+                    .priority("high")
+                    .deadline_ms(1_500)
+                    .client("loadgen-3")
+                    .allow_degraded(true)
+                    .min_fidelity("calibrated"),
+            ),
+            Some(r#"{"verb":"submit","spec":"target=4x4 app=fft","priority":"high","deadline_ms":1500,"client":"loadgen-3","allow_degraded":true,"min_fidelity":"calibrated"}"#),
+            "01 12 74 61 72 67 65 74 3d 34 78 34 20 61 70 70 3d 66 66 74 01 04 68 69 67 68 01 dc 0b 01 09 6c 6f 61 64 67 65 6e 2d 33 01 01 0a 63 61 6c 69 62 72 61 74 65 64",
+        ),
+        (
+            Request::Submit(SubmitItem::new("say \"hi\" \\ then\nnewline")),
+            Some(r#"{"verb":"submit","spec":"say \"hi\" \\ then\nnewline"}"#),
+            "01 17 73 61 79 20 22 68 69 22 20 5c 20 74 68 65 6e 0a 6e 65 77 6c 69 6e 65 00 00 00 00 00",
+        ),
+        (
+            Request::Submit(
+                SubmitItem::new("target=2x2 app=water")
+                    .priority("high")
+                    .deadline_ms(500),
+            ),
+            Some(r#"{"verb":"submit","spec":"target=2x2 app=water","priority":"high","deadline_ms":500}"#),
+            "01 14 74 61 72 67 65 74 3d 32 78 32 20 61 70 70 3d 77 61 74 65 72 01 04 68 69 67 68 01 f4 03 00 00 00",
+        ),
+        (
+            Request::Submit(
+                SubmitItem::new("target=2x2 app=water")
+                    .client("loadgen-3")
+                    .allow_degraded(true)
+                    .min_fidelity("hop"),
+            ),
+            Some(r#"{"verb":"submit","spec":"target=2x2 app=water","client":"loadgen-3","allow_degraded":true,"min_fidelity":"hop"}"#),
+            "01 14 74 61 72 67 65 74 3d 32 78 32 20 61 70 70 3d 77 61 74 65 72 00 00 01 09 6c 6f 61 64 67 65 6e 2d 33 01 01 03 68 6f 70",
+        ),
+        (
+            Request::SubmitBatch(vec![
+                SubmitItem::new("target=2x2 app=water mode=hop"),
+                SubmitItem::new("target=2x2 app=ocean mode=hop")
+                    .priority("low")
+                    .allow_degraded(true),
+            ]),
+            Some(r#"{"verb":"submit_batch","items":[{"spec":"target=2x2 app=water mode=hop"},{"spec":"target=2x2 app=ocean mode=hop","priority":"low","allow_degraded":true}]}"#),
+            "02 02 1d 74 61 72 67 65 74 3d 32 78 32 20 61 70 70 3d 77 61 74 65 72 20 6d 6f 64 65 3d 68 6f 70 00 00 00 00 00 1d 74 61 72 67 65 74 3d 32 78 32 20 61 70 70 3d 6f 63 65 61 6e 20 6d 6f 64 65 3d 68 6f 70 01 03 6c 6f 77 00 00 01 00",
+        ),
+        (
+            Request::SubmitBatch(vec![]),
+            Some(r#"{"verb":"submit_batch","items":[]}"#),
+            "02 00",
+        ),
+        (
+            Request::Status { ticket: 127 },
+            Some(r#"{"verb":"status","ticket":127}"#),
+            "03 7f",
+        ),
+        (
+            Request::Status { ticket: 128 },
+            Some(r#"{"verb":"status","ticket":128}"#),
+            "03 80 01",
+        ),
+        (
+            Request::StatusBatch {
+                tickets: vec![1, 127, 128, 9_007_199_254_740_991],
+            },
+            Some(r#"{"verb":"status_batch","tickets":[1,127,128,9007199254740991]}"#),
+            "04 04 01 7f 80 01 ff ff ff ff ff ff ff 0f",
+        ),
+        (
+            Request::StatusBatch { tickets: vec![] },
+            Some(r#"{"verb":"status_batch","tickets":[]}"#),
+            "04 00",
+        ),
+        (
+            Request::Result {
+                ticket: 9,
+                timeout_ms: None,
+            },
+            Some(r#"{"verb":"result","ticket":9}"#),
+            "05 09 00",
+        ),
+        (
+            Request::Result {
+                ticket: 9,
+                timeout_ms: Some(30_000),
+            },
+            Some(r#"{"verb":"result","ticket":9,"timeout_ms":30000}"#),
+            "05 09 01 b0 ea 01",
+        ),
+        (
+            Request::ResultBatch {
+                tickets: vec![3, 4],
+                timeout_ms: Some(250),
+            },
+            Some(r#"{"verb":"result_batch","tickets":[3,4],"timeout_ms":250}"#),
+            "06 02 03 04 01 fa 01",
+        ),
+        (
+            Request::ResultBatch {
+                tickets: vec![4, 5],
+                timeout_ms: None,
+            },
+            Some(r#"{"verb":"result_batch","tickets":[4,5]}"#),
+            "06 02 04 05 00",
+        ),
+        (
+            Request::ResultBatch {
+                tickets: vec![],
+                timeout_ms: None,
+            },
+            Some(r#"{"verb":"result_batch","tickets":[]}"#),
+            "06 00 00",
+        ),
+        (
+            Request::Cancel { ticket: 12 },
+            Some(r#"{"verb":"cancel","ticket":12}"#),
+            "07 0c",
+        ),
+        (Request::Stats, Some(r#"{"verb":"stats"}"#), "08"),
+        (Request::Health, Some(r#"{"verb":"health"}"#), "09"),
+        (Request::NodeStats, Some(r#"{"verb":"node_stats"}"#), "0a"),
+        (
+            Request::Status { ticket: u64::MAX },
+            None,
+            "03 ff ff ff ff ff ff ff ff ff 01",
+        ),
+        (
+            Request::StatusBatch {
+                tickets: vec![0, 127, 128, 1 << 40, u64::MAX],
+            },
+            None,
+            "04 05 00 7f 80 01 80 80 80 80 80 20 ff ff ff ff ff ff ff ff ff 01",
+        ),
+        (
+            Request::ResultBatch {
+                tickets: vec![u64::MAX, 0],
+                timeout_ms: Some(u64::MAX),
+            },
+            None,
+            "06 02 ff ff ff ff ff ff ff ff ff 01 00 01 ff ff ff ff ff ff ff ff ff 01",
+        ),
     ];
-    let responses = vec![
-        Response::Submit(SubmitOk {
-            ticket: 41,
-            job: "00c0ffee00c0ffee".to_owned(),
-            disposition: "enqueued".to_owned(),
-            depth: 3,
-            node: None,
-            edge: false,
-        }),
-        Response::Submit(SubmitOk {
-            ticket: 42,
-            job: "00c0ffee00c0ffee".to_owned(),
-            disposition: "cached".to_owned(),
-            depth: 0,
-            node: Some(1),
-            edge: true,
-        }),
-        Response::Status { state: "running".to_owned() },
-        Response::Outcome(OutcomeOk {
-            outcome: "completed".to_owned(),
-            detail: None,
-            queue_ns: Some(120),
-            run_ns: Some(4_567),
-            body: Some(ResultBody {
-                workload: "water".to_owned(),
-                mode: "reciprocal".to_owned(),
-                cycles: 123_456,
-                messages: 789,
-                ipc: 1.25,
-                latency_mean: 17.5,
-                latency_count: 789,
-                calibrations: 4,
-                fidelity: Some("reciprocal".to_owned()),
-                error_bound: Some(0.05),
-            }),
-        }),
-        Response::Outcome(OutcomeOk {
-            outcome: "failed".to_owned(),
-            detail: Some("driver refused the spec".to_owned()),
-            queue_ns: Some(1),
-            run_ns: Some(2),
-            body: None,
-        }),
-        Response::Cancel { cancel: "cancelled".to_owned() },
-        Response::Report { json: r#"{"ok":true,"role":"backend","state":"up","queue_depth":0}"#.to_owned() },
-        Response::Batch(vec![
-            Response::Status { state: "done".to_owned() },
-            Response::Error(WireError::new(ErrorCode::UnknownTicket, "status_batch")),
-        ]),
-        Response::Error(
-            WireError::new(ErrorCode::QueueFull, "submit")
-                .with_detail("queue is at capacity")
-                .with_depth(64),
+    let responses: Vec<(Response, Option<&str>, &str)> = vec![
+        (
+            submit_ok(41, "enqueued", 3, None, false),
+            Some(r#"{"ok":true,"ticket":41,"job":"00c0ffee00c0ffee","disposition":"enqueued","depth":3}"#),
+            "81 29 10 30 30 63 30 66 66 65 65 30 30 63 30 66 66 65 65 08 65 6e 71 75 65 75 65 64 03 00 00",
         ),
-        Response::Error(WireError::new(ErrorCode::BadFrame, "")),
+        (
+            submit_ok(128, "cached", 0, Some(1), true),
+            Some(r#"{"ok":true,"ticket":128,"job":"00c0ffee00c0ffee","disposition":"cached","depth":0,"node":1,"edge":true}"#),
+            "81 80 01 10 30 30 63 30 66 66 65 65 30 30 63 30 66 66 65 65 06 63 61 63 68 65 64 00 01 01 01",
+        ),
+        (
+            status("running"),
+            Some(r#"{"ok":true,"state":"running"}"#),
+            "82 07 72 75 6e 6e 69 6e 67",
+        ),
+        (
+            outcome("completed", None, Some(120), Some(body.clone())),
+            Some(r#"{"ok":true,"outcome":"completed","queue_ns":120,"run_ns":240,"result":{"workload":"water","mode":"reciprocal","cycles":123456,"messages":789,"ipc":0.30000000000000004,"latency_mean":17.5,"latency_count":789,"calibrations":4}}"#),
+            "83 09 63 6f 6d 70 6c 65 74 65 64 00 01 78 01 f0 01 01 05 77 61 74 65 72 0a 72 65 63 69 70 72 6f 63 61 6c c0 c4 07 95 06 34 33 33 33 33 33 d3 3f 00 00 00 00 00 80 31 40 95 06 04 00 00",
+        ),
+        (
+            outcome("cached", None, Some(0), Some(tagged)),
+            Some(r#"{"ok":true,"outcome":"cached","queue_ns":0,"run_ns":0,"result":{"workload":"water","mode":"reciprocal","cycles":123456,"messages":789,"ipc":0.30000000000000004,"latency_mean":17.5,"latency_count":789,"calibrations":4,"fidelity":"calibrated","error_bound":0.15}}"#),
+            "83 06 63 61 63 68 65 64 00 01 00 01 00 01 05 77 61 74 65 72 0a 72 65 63 69 70 72 6f 63 61 6c c0 c4 07 95 06 34 33 33 33 33 33 d3 3f 00 00 00 00 00 80 31 40 95 06 04 01 0a 63 61 6c 69 62 72 61 74 65 64 01 33 33 33 33 33 33 c3 3f",
+        ),
+        (
+            outcome("failed", Some("spec: \"warp\" \\ bad\nmode"), Some(1), None),
+            Some(r#"{"ok":true,"outcome":"failed","detail":"spec: \"warp\" \\ bad\nmode","queue_ns":1,"run_ns":2}"#),
+            "83 06 66 61 69 6c 65 64 01 17 73 70 65 63 3a 20 22 77 61 72 70 22 20 5c 20 62 61 64 0a 6d 6f 64 65 01 01 01 02 00",
+        ),
+        (
+            outcome("cancelled", None, None, None),
+            Some(r#"{"ok":true,"outcome":"cancelled"}"#),
+            "83 09 63 61 6e 63 65 6c 6c 65 64 00 00 00 00",
+        ),
+        (
+            Response::Cancel {
+                cancel: "signalled".to_owned(),
+            },
+            Some(r#"{"ok":true,"cancel":"signalled"}"#),
+            "84 09 73 69 67 6e 61 6c 6c 65 64",
+        ),
+        (
+            Response::Report {
+                json: r#"{"ok":true,"role":"backend","state":"up","queue_depth":0}"#.to_owned(),
+            },
+            Some(r#"{"ok":true,"role":"backend","state":"up","queue_depth":0}"#),
+            "85 39 7b 22 6f 6b 22 3a 74 72 75 65 2c 22 72 6f 6c 65 22 3a 22 62 61 63 6b 65 6e 64 22 2c 22 73 74 61 74 65 22 3a 22 75 70 22 2c 22 71 75 65 75 65 5f 64 65 70 74 68 22 3a 30 7d",
+        ),
+        (
+            Response::Batch(vec![
+                status("done"),
+                Response::Error(WireError::new(ErrorCode::UnknownTicket, "status_batch")),
+                submit_ok(7, "coalesced", 1, Some(0), false),
+            ]),
+            Some(r#"{"ok":true,"batch":[{"ok":true,"state":"done"},{"ok":false,"error":"unknown_ticket","code":"unknown_ticket","verb":"status_batch"},{"ok":true,"ticket":7,"job":"00c0ffee00c0ffee","disposition":"coalesced","depth":1,"node":0}]}"#),
+            "86 03 82 04 64 6f 6e 65 87 0e 75 6e 6b 6e 6f 77 6e 5f 74 69 63 6b 65 74 0c 73 74 61 74 75 73 5f 62 61 74 63 68 00 00 81 07 10 30 30 63 30 66 66 65 65 30 30 63 30 66 66 65 65 09 63 6f 61 6c 65 73 63 65 64 01 01 00 00",
+        ),
+        (Response::Batch(vec![]), Some(r#"{"ok":true,"batch":[]}"#), "86 00"),
+        (
+            Response::Error(WireError::new(ErrorCode::UnknownTicket, "status")),
+            Some(r#"{"ok":false,"error":"unknown_ticket","code":"unknown_ticket","verb":"status"}"#),
+            "87 0e 75 6e 6b 6e 6f 77 6e 5f 74 69 63 6b 65 74 06 73 74 61 74 75 73 00 00",
+        ),
+        (
+            Response::Error(
+                WireError::new(ErrorCode::QueueFull, "submit")
+                    .with_detail("queue is at capacity")
+                    .with_depth(64),
+            ),
+            Some(r#"{"ok":false,"error":"queue_full","code":"queue_full","verb":"submit","detail":"queue is at capacity","depth":64,"retryable":true}"#),
+            "87 0a 71 75 65 75 65 5f 66 75 6c 6c 06 73 75 62 6d 69 74 01 14 71 75 65 75 65 20 69 73 20 61 74 20 63 61 70 61 63 69 74 79 01 40",
+        ),
+        (
+            Response::Error(
+                WireError::new(ErrorCode::BadSpec, "submit").with_detail("unknown mode `warp`"),
+            ),
+            Some(r#"{"ok":false,"error":"bad_spec","code":"bad_spec","verb":"submit","detail":"unknown mode `warp`"}"#),
+            "87 08 62 61 64 5f 73 70 65 63 06 73 75 62 6d 69 74 01 13 75 6e 6b 6e 6f 77 6e 20 6d 6f 64 65 20 60 77 61 72 70 60 00",
+        ),
+        (
+            Response::Error(WireError::new(ErrorCode::Timeout, "result").with_depth(5)),
+            Some(r#"{"ok":false,"error":"timeout","code":"timeout","verb":"result","depth":5,"retryable":true}"#),
+            "87 07 74 69 6d 65 6f 75 74 06 72 65 73 75 6c 74 00 01 05",
+        ),
+        (
+            Response::Error(
+                WireError::new(ErrorCode::BadFrame, "").with_detail("undecodable frame body"),
+            ),
+            Some(r#"{"ok":false,"error":"bad_frame","code":"bad_frame","verb":"","detail":"undecodable frame body"}"#),
+            "87 09 62 61 64 5f 66 72 61 6d 65 00 01 16 75 6e 64 65 63 6f 64 61 62 6c 65 20 66 72 61 6d 65 20 62 6f 64 79 00",
+        ),
+        (
+            outcome(
+                "completed",
+                None,
+                Some(12),
+                Some(ResultBody {
+                    latency_mean: f64::MIN_POSITIVE,
+                    ..body
+                }),
+            ),
+            None,
+            "83 09 63 6f 6d 70 6c 65 74 65 64 00 01 0c 01 18 01 05 77 61 74 65 72 0a 72 65 63 69 70 72 6f 63 61 6c c0 c4 07 95 06 34 33 33 33 33 33 d3 3f 00 00 00 00 00 00 10 00 95 06 04 00 00",
+        ),
     ];
 
-    // Binary frames come back through the shared frame reader first.
-    let unframe = |bytes: &[u8]| -> Vec<u8> {
-        match frame::step(bytes) {
-            FrameStep::Ok { payload, advance } => {
-                assert_eq!(advance, bytes.len(), "one message, one frame");
-                payload
-            }
-            other => panic!("binary codec produced a bad frame: {other:?}"),
+    let hex = |text: &str| -> Vec<u8> {
+        text.split_whitespace()
+            .map(|byte| u8::from_str_radix(byte, 16).expect("hex byte"))
+            .collect()
+    };
+    let line = |text: &str| format!("{text}\n").into_bytes();
+    for (request, json, body) in &requests {
+        let body = hex(body);
+        assert_eq!(BinaryCodec.encode_request(request), frame::frame_bytes(&body), "{request:?}");
+        assert_eq!(BinaryCodec.decode_request(&body).as_ref(), Ok(request));
+        if let Some(json) = json {
+            assert_eq!(JsonCodec.encode_request(request), line(json), "{request:?}");
+            assert_eq!(JsonCodec.decode_request(json.as_bytes()).as_ref(), Ok(request));
         }
-    };
-    // JSON payloads are newline-delimited lines.
-    let unline = |bytes: &[u8]| -> Vec<u8> {
-        assert_eq!(bytes.last(), Some(&b'\n'), "JSON messages are lines");
-        bytes[..bytes.len() - 1].to_vec()
-    };
-
-    for request in &requests {
-        let wire = JsonCodec.encode_request(request);
-        let back = JsonCodec
-            .decode_request(&unline(&wire))
-            .unwrap_or_else(|err| panic!("json decode of {request:?}: {err:?}"));
-        assert_eq!(&back, request, "json round-trip");
-
-        let wire = BinaryCodec.encode_request(request);
-        let back = BinaryCodec
-            .decode_request(&unframe(&wire))
-            .unwrap_or_else(|err| panic!("binary decode of {request:?}: {err:?}"));
-        assert_eq!(&back, request, "binary round-trip");
     }
-    for response in &responses {
-        let wire = JsonCodec.encode_response(response);
-        let back = JsonCodec
-            .decode_response(&unline(&wire))
-            .unwrap_or_else(|err| panic!("json decode of {response:?}: {err}"));
-        assert_eq!(&back, response, "json round-trip");
-
-        let wire = BinaryCodec.encode_response(response);
-        let back = BinaryCodec
-            .decode_response(&unframe(&wire))
-            .unwrap_or_else(|err| panic!("binary decode of {response:?}: {err}"));
-        assert_eq!(&back, response, "binary round-trip");
+    for (response, json, body) in &responses {
+        let body = hex(body);
+        assert_eq!(BinaryCodec.encode_response(response), frame::frame_bytes(&body), "{response:?}");
+        assert_eq!(&BinaryCodec.decode_response(&body).expect("binary decode"), response);
+        if let Some(json) = json {
+            assert_eq!(JsonCodec.encode_response(response), line(json), "{response:?}");
+            assert_eq!(&JsonCodec.decode_response(json.as_bytes()).expect("json decode"), response);
+        }
     }
 }
 
