@@ -23,9 +23,9 @@
 //!   granularity, orders of magnitude rarer than even window events.
 //!
 //! The crate also owns the workspace's one JSON writer: [`Event::to_json`]
-//! renders the JSONL lines, and [`json_object`] builds the job service's
-//! wire, journal and store lines, both through one string escape and one
-//! float format.
+//! renders the JSONL lines, and [`json_object`] and [`json_array`] build
+//! the job service's wire, journal and store lines, all through one string
+//! escape and one float format.
 //!
 //! # The cost model
 //!
@@ -724,15 +724,33 @@ pub fn json_object(fields: &[(&str, JsonField)]) -> String {
         }
         push_json_str(&mut out, key);
         out.push(':');
-        match value {
-            JsonField::Str(s) => push_json_str(&mut out, s),
-            JsonField::Num(x) => push_json_num(&mut out, *x),
-            JsonField::Int(n) => out.push_str(&n.to_string()),
-            JsonField::Raw(json) => out.push_str(json),
-        }
+        push_json_field(&mut out, value);
     }
     out.push('}');
     out
+}
+
+/// Formats one JSON array, each item written as [`json_object`] writes a
+/// field's value.
+pub fn json_array(items: &[JsonField]) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_field(&mut out, item);
+    }
+    out.push(']');
+    out
+}
+
+fn push_json_field(out: &mut String, value: &JsonField) {
+    match value {
+        JsonField::Str(s) => push_json_str(out, s),
+        JsonField::Num(x) => push_json_num(out, *x),
+        JsonField::Int(n) => out.push_str(&n.to_string()),
+        JsonField::Raw(json) => out.push_str(json),
+    }
 }
 
 /// The [`Event::to_json`] writer: one object, keyed by static

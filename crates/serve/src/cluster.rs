@@ -1519,6 +1519,7 @@ impl Drop for RelayHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{Codec, JsonCodec};
     use crate::scheduler::{JobService, ServeConfig};
     use crate::wire::WireServer;
 
@@ -1619,6 +1620,29 @@ mod tests {
             half_open_probes: 1,
             close_after: 1,
         }
+    }
+
+    #[test]
+    fn empty_batches_answer_an_empty_batch_without_a_forward() {
+        // Nothing listens at the backend: an empty batch must not need it.
+        let relay = relay_direct(&[reserved_addr()], test_breaker());
+        let mut pool = BackendPool::new(&relay);
+        for request in [
+            Request::SubmitBatch(vec![]),
+            Request::StatusBatch { tickets: vec![] },
+            Request::ResultBatch {
+                tickets: vec![],
+                timeout_ms: None,
+            },
+        ] {
+            let answer = handle_relay_request(&relay, &mut pool, &request);
+            assert_eq!(answer, Response::Batch(vec![]), "{request:?}");
+            assert_eq!(
+                JsonCodec.encode_response(&answer),
+                b"{\"ok\":true,\"batch\":[]}\n",
+            );
+        }
+        assert_eq!(relay.stats().forwards, 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use ra_obs::{json_object, Event, JsonField};
 
-use crate::codec::{BinaryCodec, Codec};
+use crate::codec::{BinaryCodec, Codec, JsonCodec};
 use crate::frame::{self, FrameStep};
 use crate::json::Json;
 use crate::proto::{
@@ -300,30 +300,29 @@ fn result_one(
     }
 }
 
-/// Runs one JSON request line through `dispatch_one` and renders the
-/// response line (no trailing newline) — the shared line pipeline of the
-/// backend server and the relay.
-pub(crate) fn respond_line(
-    line: &str,
+/// Decodes one request, runs it through `dispatch_one` and encodes the
+/// reply, codec framing included — the shared pipeline of both
+/// connection modes, on the backend server and the relay.
+fn answer(
+    codec: &dyn Codec,
+    payload: &[u8],
     dispatch_one: impl FnOnce(&Request) -> Response,
-) -> String {
-    let response = match Json::parse(line) {
-        Err(err) => Response::Error(
-            WireError::new(ErrorCode::BadRequest, "").with_detail(err.to_string()),
-        ),
-        Ok(json) => match Request::decode_json(&json) {
-            Err(err) => Response::Error(err),
-            Ok(request) => dispatch_one(&request),
-        },
+) -> Vec<u8> {
+    let response = match codec.decode_request(payload) {
+        Ok(request) => dispatch_one(&request),
+        Err(err) => Response::Error(err),
     };
-    response.encode_json()
+    codec.encode_response(&response)
 }
 
 /// Dispatches one request line to the service and renders the response
 /// line (no trailing newline). The JSON compat surface, kept as the
 /// sockets-free protocol entry point for tests and tooling.
 pub fn handle_request(service: &JobService, line: &str) -> String {
-    respond_line(line, |request| dispatch(service, request))
+    let reply = answer(&JsonCodec, line.as_bytes(), |request| {
+        dispatch(service, request)
+    });
+    String::from_utf8_lossy(reply.strip_suffix(b"\n").unwrap_or(&reply)).into_owned()
 }
 
 /// The counter snapshot rendered by the `stats` and `node_stats` verbs.
@@ -529,10 +528,9 @@ pub(crate) fn serve_stream(
                     };
                     let line = text.trim();
                     if !line.is_empty() {
-                        let response = respond_line(line, &mut dispatch_one);
+                        let reply = answer(&JsonCodec, line.as_bytes(), &mut dispatch_one);
                         if writer
-                            .write_all(response.as_bytes())
-                            .and_then(|()| writer.write_all(b"\n"))
+                            .write_all(&reply)
                             .and_then(|()| writer.flush())
                             .is_err()
                         {
@@ -549,11 +547,7 @@ pub(crate) fn serve_stream(
                 match frame::step(&pending) {
                     FrameStep::Ok { payload, advance } => {
                         pending.drain(..advance);
-                        let response = match BinaryCodec.decode_request(&payload) {
-                            Ok(request) => dispatch_one(&request),
-                            Err(err) => Response::Error(err),
-                        };
-                        let wire = BinaryCodec.encode_response(&response);
+                        let wire = answer(&BinaryCodec, &payload, &mut dispatch_one);
                         if writer
                             .write_all(&wire)
                             .and_then(|()| writer.flush())
@@ -717,11 +711,10 @@ impl WireClient {
             let payload = self.read_frame()?;
             BinaryCodec.decode_response(&payload)
         } else {
-            let line = self.call_raw(&request.encode_json())?;
-            let json = Json::parse(&line).map_err(|err| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {err}"))
-            })?;
-            Ok(Response::decode_json(&json, &line))
+            let wire = JsonCodec.encode_request(request);
+            let line = String::from_utf8_lossy(wire.strip_suffix(b"\n").unwrap_or(&wire));
+            let reply = self.call_raw(&line)?;
+            JsonCodec.decode_response(reply.as_bytes())
         }
     }
 
@@ -803,15 +796,10 @@ impl WireClient {
     /// identical view under either codec, so every legacy call site
     /// works unchanged in binary mode.
     fn call_verb(&mut self, request: &Request) -> io::Result<Json> {
-        if self.binary {
-            let response = self.call_request(request)?;
-            let line = response.encode_json();
-            Json::parse(&line).map_err(|err| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {err}"))
-            })
-        } else {
-            self.call(&request.encode_json())
-        }
+        let reply = JsonCodec.encode_response(&self.call_request(request)?);
+        Json::parse(&String::from_utf8_lossy(&reply)).map_err(|err| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {err}"))
+        })
     }
 
     /// Runs a typed batch request and unwraps the per-item responses.
@@ -1001,6 +989,23 @@ mod tests {
             response.get("disposition").and_then(Json::as_str),
             Some("cached")
         );
+        service.shutdown();
+    }
+
+    #[test]
+    fn empty_batches_answer_an_empty_batch() {
+        let service = tiny_service();
+        for request in [
+            r#"{"verb":"submit_batch","items":[]}"#,
+            r#"{"verb":"status_batch","tickets":[]}"#,
+            r#"{"verb":"result_batch","tickets":[]}"#,
+        ] {
+            assert_eq!(
+                handle_request(&service, request),
+                r#"{"ok":true,"batch":[]}"#,
+                "{request}"
+            );
+        }
         service.shutdown();
     }
 
