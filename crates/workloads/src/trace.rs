@@ -35,6 +35,11 @@ const TAG_COMPUTE: u8 = 0;
 const TAG_LOAD: u8 = 1;
 const TAG_STORE: u8 = 2;
 const MAGIC: u32 = 0x5241_5452; // "RATR"
+/// Bytes of a per-core op count.
+const COUNT_BYTES: usize = 4;
+/// Bytes of the smallest op (a compute op's tag and count): what bounds
+/// how many ops the bytes left can hold.
+const MIN_OP_BYTES: usize = 5;
 
 /// Bytes fetched per streaming refill (bounds `TraceStream` memory at
 /// roughly this much per core).
@@ -257,7 +262,8 @@ impl TraceReplay {
         }
         let cores = u32::from_be_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
         rest = &rest[8..];
-        let mut streams = Vec::with_capacity(cores);
+        // Counts are untrusted: reserve no more than the bytes can hold.
+        let mut streams = Vec::with_capacity(cores.min(rest.len() / COUNT_BYTES));
         for _ in 0..cores {
             if rest.len() < 4 {
                 return Err(TraceError::new(
@@ -269,7 +275,7 @@ impl TraceReplay {
             }
             let n = u32::from_be_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
             rest = &rest[4..];
-            let mut ops = Vec::with_capacity(n);
+            let mut ops = Vec::with_capacity(n.min(rest.len() / MIN_OP_BYTES));
             for _ in 0..n {
                 match decode_one(rest) {
                     OpDecode::Done(op, used) => {
@@ -376,6 +382,7 @@ impl TraceStream {
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path).map_err(|e| TraceError::io(0, &e))?;
+        let file_len = file.metadata().map_err(|e| TraceError::io(0, &e))?.len();
         let mut reader = BufReader::new(file);
         let mut offset = 0u64;
         let mut header = [0u8; 8];
@@ -385,7 +392,9 @@ impl TraceStream {
             return Err(TraceError::new(0, TraceErrorKind::BadMagic { found: magic }));
         }
         let cores = u32::from_be_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-        let mut cursors = Vec::with_capacity(cores);
+        // Counts are untrusted: reserve no more than the file can hold.
+        let room = file_len.saturating_sub(offset) / COUNT_BYTES as u64;
+        let mut cursors = Vec::with_capacity(cores.min(room as usize));
         let mut total_ops = 0u64;
         for _ in 0..cores {
             let mut count_buf = [0u8; 4];
@@ -408,9 +417,9 @@ impl TraceStream {
             for _ in 0..count {
                 let mut tag = [0u8; 1];
                 read_exact_at(&mut reader, &mut tag, &mut offset, "an op tag")?;
-                let skip = match tag[0] {
-                    TAG_COMPUTE => 4,
-                    TAG_LOAD | TAG_STORE => 8,
+                let (skip, expected) = match tag[0] {
+                    TAG_COMPUTE => (4, "a compute-op payload"),
+                    TAG_LOAD | TAG_STORE => (8, "a memory-op address"),
                     other => {
                         return Err(TraceError::new(
                             offset - 1,
@@ -418,6 +427,14 @@ impl TraceStream {
                         ));
                     }
                 };
+                // Seeking past the end succeeds, so check the payload is
+                // there (located at its op, as `from_bytes` does).
+                if offset + skip as u64 > file_len {
+                    return Err(TraceError::new(
+                        offset - 1,
+                        TraceErrorKind::Truncated { expected },
+                    ));
+                }
                 reader
                     .seek_relative(skip)
                     .map_err(|e| TraceError::io(offset, &e))?;
@@ -653,6 +670,66 @@ mod tests {
         assert_eq!(err.offset, 12);
         assert!(matches!(err.kind, TraceErrorKind::Truncated { .. }));
         assert!(err.to_string().contains("byte 12"), "{err}");
+    }
+
+    /// A small valid trace: two cores, every op kind.
+    fn small_trace() -> Vec<u8> {
+        encode(&[
+            vec![Op::Compute(3), Op::Load(0x40), Op::Store(0x80)],
+            vec![Op::Load(0x1000)],
+        ])
+    }
+
+    /// Both parsers on the same bytes; they must agree.
+    fn parse_both(tag: &str, bytes: &[u8]) -> Result<usize, TraceError> {
+        let replayed = TraceReplay::from_bytes(bytes).map(|t| t.len());
+        let path = temp_trace(tag, bytes);
+        let streamed = TraceStream::open(&path).map(|t| t.len() as usize);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(replayed, streamed, "{tag}: the parsers disagree");
+        replayed
+    }
+
+    #[test]
+    fn every_truncation_is_an_error_at_its_offset() {
+        let full = small_trace();
+        assert_eq!(parse_both("full", &full).unwrap(), 4);
+        // Where each op and count starts: a cut inside one is reported
+        // there.
+        let starts = [0u64, 8, 12, 17, 26, 35, 39];
+        for cut in 0..full.len() {
+            let err = parse_both(&format!("cut-{cut}"), &full[..cut]).unwrap_err();
+            assert!(matches!(err.kind, TraceErrorKind::Truncated { .. }), "cut {cut}: {err}");
+            let at = *starts.iter().rev().find(|&&s| s <= cut as u64).expect("0 starts");
+            assert_eq!(err.offset, at, "cut {cut}: {err}");
+        }
+    }
+
+    #[test]
+    fn huge_counts_and_unknown_tags_are_errors_not_aborts() {
+        let header = |cores: u32| {
+            let mut bytes = MAGIC.to_be_bytes().to_vec();
+            bytes.extend_from_slice(&cores.to_be_bytes());
+            bytes
+        };
+        // `u32::MAX` cores in an 8-byte file.
+        let err = parse_both("huge-cores", &header(u32::MAX)).unwrap_err();
+        assert_eq!(err.offset, 8);
+        assert!(matches!(err.kind, TraceErrorKind::Truncated { .. }), "{err}");
+        // One core claiming `u32::MAX` ops, with one op present.
+        let mut bytes = header(1);
+        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+        bytes.push(TAG_COMPUTE);
+        bytes.extend_from_slice(&7u32.to_be_bytes());
+        let err = parse_both("huge-ops", &bytes).unwrap_err();
+        assert_eq!(err.offset, 17);
+        assert!(matches!(err.kind, TraceErrorKind::Truncated { .. }), "{err}");
+        // An unknown tag where the second op of a valid trace starts.
+        let mut bytes = small_trace();
+        bytes[17] = 7;
+        let err = parse_both("bad-tag", &bytes).unwrap_err();
+        assert_eq!(err.offset, 17);
+        assert_eq!(err.kind, TraceErrorKind::UnknownTag { tag: 7 });
     }
 
     #[test]
