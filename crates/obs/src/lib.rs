@@ -14,7 +14,8 @@
 //!   window (router steps, fast-forwarded cycles, per-virtual-network
 //!   occupancy, fault deltas);
 //! * the **parallel engine** emits one [`Event::EngineBatch`] per batched
-//!   job (worker range cuts, barrier wait, batch size);
+//!   job (worker range cuts, scope wall-clock, the workers' summed
+//!   stepping and barrier-wait times, batch size);
 //! * wall-clock [`Event::Span`]s (`detailed_step` / `calibrate` /
 //!   `fullsys_step`) time the T2-style simulation phases;
 //! * the **job service** (`ra-serve`) emits per-job lifecycle events —
@@ -210,6 +211,12 @@ pub enum Event {
         /// Wall-clock nanoseconds from opening the batch's thread scope to
         /// joining it (the workers' busy time, barriers included).
         barrier_wait_ns: u64,
+        /// Nanoseconds the workers spent stepping their routers, summed
+        /// over workers.
+        busy_ns: u64,
+        /// Nanoseconds the workers spent waiting at the barrier between
+        /// cycles, summed over workers.
+        wait_ns: u64,
         /// Injections released into the batch up front.
         releases: u64,
         /// Routers in the smallest worker range this batch (the activity-
@@ -526,6 +533,8 @@ impl Event {
                 cycles,
                 workers,
                 barrier_wait_ns,
+                busy_ns,
+                wait_ns,
                 releases,
                 min_range,
                 max_range,
@@ -534,6 +543,8 @@ impl Event {
                 w.int("cycles", *cycles);
                 w.int("workers", *workers);
                 w.int("barrier_wait_ns", *barrier_wait_ns);
+                w.int("busy_ns", *busy_ns);
+                w.int("wait_ns", *wait_ns);
                 w.int("releases", *releases);
                 w.int("min_range", *min_range);
                 w.int("max_range", *max_range);
@@ -1231,6 +1242,8 @@ mod tests {
                 cycles: 64,
                 workers: 4,
                 barrier_wait_ns: 1000,
+                busy_ns: 1500,
+                wait_ns: 300,
                 releases: 2,
                 min_range: 10,
                 max_range: 22,
