@@ -29,7 +29,8 @@ pub enum ModeSpec {
     Queueing,
     /// Reciprocal abstraction: calibrated model + detailed NoC in quanta.
     /// `workers == 0` runs the detailed model serially; `workers > 0` on
-    /// the parallel engine.
+    /// the parallel engine, and with two or more a replay thread trails
+    /// the full system through each quantum (the results are the same).
     Reciprocal {
         /// Calibration quantum in cycles.
         quantum: u64,
@@ -414,12 +415,17 @@ impl<'a> RunSpec<'a> {
             sys.set_halt_flag(cancel.clone());
         }
         let start = Instant::now();
-        let run = if effective_pipeline {
-            run_pipelined(&mut sys, self.instructions, self.budget)
+        let cycles = if effective_pipeline {
+            run_pipelined(&mut sys, self.instructions, self.budget)?
         } else {
-            sys.run_until_instructions(self.instructions, self.budget)
+            let cycles = sys.run_until_instructions(self.instructions, self.budget)?;
+            // Takes the NoC back from an overlapped window's replay thread
+            // and records the detailed statistics.
+            let now = sys.now();
+            let committed = sys.network_mut().inner_mut().finalize(now);
+            debug_assert!(committed, "a run without speculation always commits");
+            cycles
         };
-        let cycles = run?;
         let wall = start.elapsed();
         let stats = sys.stats();
         let probe = sys.network();
@@ -428,8 +434,7 @@ impl<'a> RunSpec<'a> {
             .iter()
             .map(|c| *probe.class_latency(*c))
             .collect();
-        let mut coupler_stats = probe.inner().stats().clone();
-        coupler_stats.noc = Some(probe.inner().detailed().stats());
+        let coupler_stats = probe.inner().stats().clone();
         // The remainder of the wall-clock is the full system plus the fast
         // path — T2's third component.
         self.sink.emit(|| Event::Span {
@@ -925,6 +930,20 @@ mod tests {
             matches!(err, SimError::Cancelled { .. }),
             "expected Cancelled, got {err:?}"
         );
+    }
+
+    #[test]
+    fn a_parallel_run_stopped_mid_window_returns_its_error() {
+        // The budget runs out inside a window the replay thread is
+        // trailing: the run must stop it, join it, and return.
+        let err = RunSpec::new(&small_target(), &AppProfile::ocean())
+            .mode(ModeSpec::Reciprocal { quantum: 200, workers: 2, pipeline: false })
+            .instructions(1_000_000)
+            .budget(1_100)
+            .seed(1)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, SimError::Timeout { .. }), "expected Timeout, got {err:?}");
     }
 
     #[test]

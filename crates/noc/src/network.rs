@@ -526,6 +526,17 @@ impl NocNetwork {
         self.run_batch(self.next_cycle + 1);
     }
 
+    /// Steps every cycle through `end` (inclusive) on the serial engine,
+    /// never fast-forwarding: unlike [`tick`](Network::tick), an idle
+    /// stretch is stepped, not skipped. A replay that runs ahead of its
+    /// injector uses this, so every fast-forward is still decided where
+    /// all of the window's injections are known.
+    pub fn step_to(&mut self, end: u64) {
+        while self.next_cycle <= end {
+            self.run_batch(end + 1);
+        }
+    }
+
     /// The serial engine: runs cycles from `next_cycle` towards `end`
     /// (exclusive), at most [`MAX_BATCH_CYCLES`] of them, each one release
     /// of its due injections and one [`step_range`] pass over every router,
@@ -565,8 +576,9 @@ impl NocNetwork {
 
     /// Advances through cycles `[next_cycle, target)` that provably step
     /// zero routers, in O(routers) total instead of O(routers x cycles).
-    /// Returns the cycles consumed (0 if anything is, or could become,
-    /// live — the caller then falls back to [`step`](NocNetwork::step)).
+    /// Returns the cycles consumed: all of them, or 0 if anything is, or
+    /// could become, live (a message in flight, a queued injection
+    /// included) — the caller then falls back to [`step`](NocNetwork::step).
     ///
     /// Unlike [`skip_to`](NocNetwork::skip_to), the fast-forwarded window
     /// **is** simulated time: the cycles count into [`NocStats::cycles`]
@@ -576,26 +588,20 @@ impl NocNetwork {
         if !self.cfg.clock_gating || target <= self.next_cycle || self.in_flight_count != 0 {
             return 0;
         }
-        // Stop at the next queued injection: it needs real stepping.
-        let limit = match self.future.peek() {
-            Some(Reverse(q)) => q.cycle.min(target),
-            None => target,
-        };
-        if limit <= self.next_cycle {
-            return 0;
-        }
+        // A queued injection counts as in flight, so nothing is queued.
+        debug_assert!(self.future.is_empty());
         let now = self.next_cycle;
         let busy = |r: &Router| r.has_work() || r.is_fault_scripted();
         if !self.arrivals.is_clear() || self.routers.iter().any(busy) {
             return 0;
         }
-        let skipped = limit - now;
+        let skipped = target - now;
         // Every skipped cycle would have stepped nothing, delivered
         // nothing, and (with nothing in flight) reset the idle counter.
         self.stats.cycles += skipped;
         self.ff_cycles += skipped;
         self.idle_cycles = 0;
-        self.next_cycle = limit;
+        self.next_cycle = target;
         skipped
     }
 
@@ -664,8 +670,8 @@ impl NocNetwork {
     /// # Errors
     ///
     /// Returns [`SimError::Invariant`] if the network still holds traffic
-    /// (in-flight messages, buffered flits, or queued injections due before
-    /// `cycle`): skipping over live traffic would corrupt timing.
+    /// (in-flight messages, queued injections included, or buffered
+    /// flits): skipping over live traffic would corrupt timing.
     pub fn skip_to(&mut self, cycle: u64) -> Result<(), SimError> {
         if cycle <= self.next_cycle {
             return Ok(());
@@ -682,14 +688,8 @@ impl NocNetwork {
                 self.buffered_flits()
             )));
         }
-        if let Some(Reverse(q)) = self.future.peek() {
-            if q.cycle < cycle {
-                return Err(SimError::Invariant(format!(
-                    "cannot skip past a queued injection at cycle {}",
-                    q.cycle
-                )));
-            }
-        }
+        // A queued injection counts as in flight, so nothing is queued.
+        debug_assert!(self.future.is_empty());
         // The last deliveries' return credits may still be in flight on the
         // wires; run the (traffic-free) network for one link round so every
         // credit is absorbed before the jump — dropping one would leak a VC
