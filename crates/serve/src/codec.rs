@@ -172,7 +172,7 @@ impl Codec for BinaryCodec {
     }
 
     fn decode_response(&self, payload: &[u8]) -> io::Result<Response> {
-        read_whole(payload, Response::read).map_err(invalid)
+        read_whole(payload, |cursor| take_response(cursor.byte()?, cursor).ok()).map_err(invalid)
     }
 }
 
@@ -561,7 +561,9 @@ impl<T: Value> Value for Vec<T> {
 
 /// A batch reply's entries: each a whole reply with its own `"ok"` or
 /// tag. An unrecognised JSON entry is a protocol error, not a
-/// pass-through: report shapes never appear inside a batch.
+/// pass-through: report shapes never appear inside a batch. Nor do
+/// batches, so a binary batch item is refused as undecodable: the
+/// decoder then recurses at most once, whatever a peer sends.
 impl Value for Response {
     fn to_json(&self) -> Option<JsonField> {
         Some(JsonField::Raw(response_json(self)))
@@ -584,8 +586,10 @@ impl Value for Response {
     }
 
     fn read(cursor: &mut Cursor<'_>) -> Option<Self> {
-        let tag = cursor.byte()?;
-        take_response(tag, cursor).ok()
+        match cursor.byte()? {
+            0x86 => None,
+            tag => take_response(tag, cursor).ok(),
+        }
     }
 }
 
@@ -1007,5 +1011,21 @@ mod tests {
             let err = BinaryCodec.decode_response(bytes).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bytes:02x?}");
         }
+    }
+
+    /// No encoder nests a batch, so the decoder refuses a batch item that
+    /// is one: 200,000 nested `86 01` (400 KB, under the frame cap), which
+    /// once recursed the decoding thread off its stack, and a batch
+    /// holding an empty batch. A batch of a plain reply decodes.
+    #[test]
+    fn a_batch_nested_in_a_batch_is_refused() {
+        let deep = [0x86, 0x01].repeat(200_000);
+        for bytes in [&deep[..], &[0x86, 0x01, 0x86, 0x00]] {
+            let err = BinaryCodec.decode_response(bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        let flat = BinaryCodec.decode_response(&[0x86, 0x01, 0x82, 0x01, b'x']).unwrap();
+        let state = "x".to_owned();
+        assert_eq!(flat, Response::Batch(vec![Response::Status { state }]));
     }
 }

@@ -15,6 +15,12 @@
 use std::collections::HashMap;
 use std::fmt;
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// protocol's messages nest about four deep; the cap keeps a hostile line
+/// from recursing the parser off its thread's stack, an abort no
+/// `catch_unwind` can stop.
+pub const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -37,11 +43,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] with a byte offset and what went wrong.
+    /// [`JsonError`] with a byte offset and what went wrong, including an
+    /// array or object opened deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut cursor = Cursor {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         cursor.skip_ws();
         let value = cursor.value()?;
@@ -116,6 +124,8 @@ impl std::error::Error for JsonError {}
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Cursor<'_> {
@@ -156,8 +166,15 @@ impl Cursor<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -368,5 +385,23 @@ mod tests {
                 "`{text}` -> `{err}` (wanted `{needle}`)"
             );
         }
+    }
+
+    /// Whole 64 KiB lines of `[` and of `{"a":`, which once overflowed the
+    /// parsing thread's stack, are errors at the bracket past the cap.
+    /// Arrays nested exactly [`MAX_DEPTH`] deep parse, and one more fails
+    /// the same way.
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        for unit in ["[", r#"{"a":"#] {
+            let line = unit.repeat(64 * 1024 / unit.len());
+            let err = Json::parse(&line).unwrap_err();
+            assert_eq!(err.at, MAX_DEPTH * unit.len(), "{unit}: {err}");
+        }
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nested deeper"), "{err}");
     }
 }

@@ -1274,4 +1274,23 @@ mod tests {
         assert!(closed, "server kept a >64KiB line buffered");
         handle.stop();
     }
+
+    /// A 64,000-byte line nesting `[` under one object (it leads with `{`
+    /// to sniff as JSON), under `MAX_LINE_BYTES`, once aborted the whole
+    /// process on a stack overflow in the connection's thread. It is a
+    /// `bad_request`, and the server answers `health` afterwards.
+    #[test]
+    fn a_deeply_nested_line_is_refused_and_the_server_lives_on() {
+        let handle = WireServer::bind("127.0.0.1:0", tiny_service())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let mut client = WireClient::connect(handle.addr()).unwrap();
+        let line = format!(r#"{{"x":{}"#, "[".repeat(63_995));
+        let reply = client.call(&line).unwrap();
+        assert_eq!(reply.get("code").and_then(Json::as_str), Some("bad_request"));
+        let health = WireClient::connect(handle.addr()).unwrap().health().unwrap();
+        assert_eq!(health.get("state").and_then(Json::as_str), Some("up"));
+        handle.stop();
+    }
 }
