@@ -8,8 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ra_fullsys::{FullSysSnapshot, FullSystem, SliceEnd};
-use ra_netmodel::{AbstractNetwork, FixedLatency, HopLatency, HopMetric, QueueingLatency};
-use ra_noc::{ChipletNetwork, TopologyKind};
+use ra_netmodel::{AbstractNetwork, FixedLatency, HopLatency, QueueingLatency};
+use ra_noc::ChipletNetwork;
 use ra_obs::{Event, ObsSink, SpanKind};
 use ra_sim::{ConfigError, MessageClass, Network, SimError, Summary};
 use ra_workloads::{AnyWorkload, AppProfile, WorkSpec};
@@ -28,9 +28,10 @@ pub enum ModeSpec {
     /// Hop model with an analytic queueing term.
     Queueing,
     /// Reciprocal abstraction: calibrated model + detailed NoC in quanta.
-    /// `workers == 0` runs the detailed model serially; `workers > 0` on
-    /// the parallel engine, and with two or more a replay thread trails
-    /// the full system through each quantum (the results are the same).
+    /// On a single die, `workers >= 2` runs the detailed model on the
+    /// parallel engine while a replay thread trails the full system
+    /// through each quantum; `workers` 0 and 1, and every chiplet target,
+    /// run it serially (the results are the same).
     Reciprocal {
         /// Calibration quantum in cycles.
         quantum: u64,
@@ -589,22 +590,7 @@ fn build_network(
     target: &Target,
     sink: &ObsSink,
 ) -> Result<Box<dyn Network>, SimError> {
-    let shape = target.noc.shape;
-    let metric = if let Some(spec) = &target.noc.chiplet {
-        HopMetric::Chiplet {
-            islands: spec.islands,
-            island: shape,
-        }
-    } else {
-        match target.noc.topology {
-            TopologyKind::Mesh => HopMetric::Mesh(shape),
-            TopologyKind::Torus => HopMetric::Torus(shape),
-            TopologyKind::CMesh { concentration } => HopMetric::CMesh {
-                shape,
-                concentration,
-            },
-        }
-    };
+    let metric = crate::reciprocal::hop_metric(&target.noc);
     let flit_bytes = target.noc.flit_bytes;
     Ok(match mode {
         ModeSpec::Fixed(l) => Box::new(AbstractNetwork::new(FixedLatency::new(l), metric, flit_bytes)),

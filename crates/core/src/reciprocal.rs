@@ -458,10 +458,10 @@ fn run_window(
     sample_every: u32,
 ) -> Result<(), SimError> {
     match engine {
-        // The interposer protocol dictates the lockstep batching (a single
-        // die's one batch is the whole window); the engine steps each
-        // island's routers data-parallel inside a batch, chunking it into
-        // multi-cycle jobs and fast-forwarding drained idle stretches.
+        // Only a single die has an engine, and its one batch is the whole
+        // window: the engine steps its routers data-parallel, chunking the
+        // window into multi-cycle jobs and fast-forwarding drained idle
+        // stretches.
         Some(engine) => detailed.advance_to(target, &mut |island, end| {
             if island.next_cycle() <= end {
                 let cycles = end + 1 - island.next_cycle();
@@ -516,6 +516,22 @@ fn finish_window(
         detailed.inject(msg, at);
     }
     run_window(detailed, engine, target, sample_every)
+}
+
+/// The hop metric of the abstract models over `cfg`'s detailed topology.
+pub(crate) fn hop_metric(cfg: &NocConfig) -> HopMetric {
+    let shape = cfg.shape;
+    match (&cfg.chiplet, cfg.topology) {
+        (Some(spec), _) => HopMetric::Chiplet {
+            islands: spec.islands,
+            island: shape,
+        },
+        (None, TopologyKind::Mesh) => HopMetric::Mesh(shape),
+        (None, TopologyKind::CMesh { concentration }) => HopMetric::CMesh {
+            shape,
+            concentration,
+        },
+    }
 }
 
 /// Reciprocal-abstraction network: the paper's contribution.
@@ -636,31 +652,17 @@ pub struct ReciprocalNetwork {
 
 impl ReciprocalNetwork {
     /// Builds a coupler over a detailed NoC with the given calibration
-    /// `quantum` (cycles). `workers > 0` runs the detailed model on a
-    /// parallel engine with that many threads; `workers == 0` runs it
-    /// serially on the host thread.
+    /// `quantum` (cycles). On a single die, `workers >= 2` runs the
+    /// detailed model on a parallel engine with that many threads; any
+    /// other `workers`, and every chiplet target, runs it serially on the
+    /// host thread.
     ///
     /// # Errors
     ///
     /// Propagates the NoC configuration validation error.
     pub fn new(cfg: NocConfig, quantum: u64, workers: usize) -> Result<Self, ra_sim::ConfigError> {
         let detailed = ChipletNetwork::new(cfg.clone())?;
-        let shape = cfg.shape;
-        let metric = if let Some(spec) = &cfg.chiplet {
-            HopMetric::Chiplet {
-                islands: spec.islands,
-                island: shape,
-            }
-        } else {
-            match cfg.topology {
-                TopologyKind::Mesh => HopMetric::Mesh(shape),
-                TopologyKind::Torus => HopMetric::Torus(shape),
-                TopologyKind::CMesh { concentration } => HopMetric::CMesh {
-                    shape,
-                    concentration,
-                },
-            }
-        };
+        let metric = hop_metric(&cfg);
         let diameter = detailed.diameter();
         let mut model = CalibratedModel::new(diameter, 0.5);
         if let Some(split) = detailed.cross_split() {
@@ -670,12 +672,16 @@ impl ReciprocalNetwork {
         }
         let fit = model.clone();
         let fast = AbstractNetwork::new(model, metric, cfg.flit_bytes);
+        // One worker is the serial tick with a thread scope per batch, and
+        // an island handed to the engine one interposer horizon at a time
+        // ran 4x slower than the serial tick: both step serially.
+        let engine = (workers >= 2 && cfg.chiplet.is_none()).then(|| ParallelEngine::new(workers));
         Ok(ReciprocalNetwork {
             fast,
             fit,
             detailed: Some(detailed),
             cfg,
-            engine: (workers > 0).then(|| ParallelEngine::new(workers)),
+            engine,
             quantum: quantum.max(1),
             sample_every: 1,
             window_idx: 0,
@@ -705,20 +711,19 @@ impl ReciprocalNetwork {
         .with_overlap_rule())
     }
 
-    /// Decides the schedule: with a parallel engine of two or more
-    /// workers, every detailed window of at least [`MAX_BATCH_CYCLES`]
-    /// cycles on a single die is trailed by the replay thread while the
-    /// full system runs it. Serial, sampled and pipelined couplers keep
-    /// the alternating schedule, and so do chiplet systems: an island's
-    /// second legs are queued as their gateway deliveries settle, and
-    /// those would then interleave with the full system's injections in a
+    /// Decides the schedule: with a parallel engine (a single die and two
+    /// or more workers), every detailed window of at least
+    /// [`MAX_BATCH_CYCLES`] cycles is trailed by the replay thread while
+    /// the full system runs it. Serial, sampled and pipelined couplers keep
+    /// the alternating schedule. Chiplet systems have no engine: an
+    /// island's second legs are queued as their gateway deliveries settle,
+    /// and those would interleave with the full system's injections in a
     /// different order than the serial schedule releases them.
     fn with_overlap_rule(mut self) -> Self {
-        self.trails = self.engine.as_ref().is_some_and(|e| e.workers() >= 2)
+        self.trails = self.engine.is_some()
             && !self.pipeline
             && self.sample_every == 1
-            && self.quantum >= MAX_BATCH_CYCLES
-            && self.cfg.chiplet.is_none();
+            && self.quantum >= MAX_BATCH_CYCLES;
         self
     }
 

@@ -1,7 +1,7 @@
 //! Target-machine presets (the paper's Table 1).
 
 use ra_fullsys::FullSysConfig;
-use ra_noc::{ChipletSpec, InterposerClass, NocConfig, Routing, TopologyKind};
+use ra_noc::{ChipletSpec, InterposerClass, NocConfig};
 use ra_sim::ConfigError;
 
 /// A complete target-machine description: the full-system configuration and
@@ -37,9 +37,7 @@ impl Target {
             .with_vcs_per_vnet(4)
             .with_vc_depth(4)
             .with_flit_bytes(16)
-            .with_link_latency(1)
-            .with_routing(Routing::Xy)
-            .with_topology(TopologyKind::Mesh);
+            .with_link_latency(1);
         Target {
             name: format!("{}-core", cols * rows),
             fullsys,
@@ -65,8 +63,6 @@ impl Target {
             .with_vc_depth(4)
             .with_flit_bytes(16)
             .with_link_latency(1)
-            .with_routing(Routing::Xy)
-            .with_topology(TopologyKind::Mesh)
             .with_chiplet(ChipletSpec::new(islands, interposer));
         Target {
             name: format!("{islands}x{}-chiplet-{}", cols * rows, interposer.name()),
@@ -160,8 +156,8 @@ impl Target {
             f.mem_controllers, f.dram_latency, f.mc_service
         ));
         s.push_str(&format!(
-            "  NoC               : {:?} {:?}, {} VCs/vnet x {} flits, {}B flits, {}-cycle links\n",
-            n.topology, n.routing, n.vcs_per_vnet, n.vc_depth, n.flit_bytes, n.link_latency
+            "  NoC               : {:?} Xy, {} VCs/vnet x {} flits, {}B flits, {}-cycle links\n",
+            n.topology, n.vcs_per_vnet, n.vc_depth, n.flit_bytes, n.link_latency
         ));
         if let Some(spec) = &n.chiplet {
             s.push_str(&format!(

@@ -29,15 +29,15 @@
 //! the right cycle, and delivery events are cycle-stamped and merged
 //! afterwards in exactly the serial order ([`NocNetwork::finish_batch`]).
 //!
-//! # Clock gating and load balancing
+//! # Clock gating
 //!
 //! Each worker makes the serial engine's own per-cycle pass,
 //! [`step_range`], over its range, so it applies the same liveness
-//! predicate ([`EngineParts::router_live`]) and a mostly-idle mesh costs a
-//! liveness check per router instead of a full pipeline step. Because live
-//! routers may cluster (one busy corner of the mesh), the engine
-//! re-partitions the contiguous router ranges at every batch boundary,
-//! weighting live routers heavier than idle ones.
+//! predicate ([`ra_noc::EngineParts::router_live`]) and a mostly-idle mesh
+//! costs a liveness check per router instead of a full pipeline step. The
+//! routers are split into equal contiguous ranges; re-cutting them every
+//! batch so that each worker held an equal share of live routers measured
+//! no faster.
 //!
 //! # Example
 //!
@@ -65,15 +65,11 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ra_noc::{
-    step_range, Arrivals, EngineParts, NocNetwork, ReleasedInjection, Router, TopologyMap, Wires,
+    step_range, Arrivals, NocNetwork, ReleasedInjection, Router, TopologyMap, Wires,
     MAX_BATCH_CYCLES,
 };
 use ra_obs::{Event, ObsSink};
 use ra_sim::SimError;
-
-/// Relative cost of stepping a live router vs. liveness-checking an idle
-/// one, used to balance worker ranges when activity is skewed.
-const LIVE_WEIGHT: u64 = 16;
 
 /// Polls, one pause hint apart, a [`SpinBarrier`] waiter makes before it
 /// parks: some tens of microseconds on the 2-core host, about two cycles
@@ -250,57 +246,17 @@ fn range_of(worker: usize, workers: usize, routers: usize) -> std::ops::Range<us
     lo..hi
 }
 
-/// Fills `bounds` with `workers + 1` cumulative cut points partitioning
-/// `0..n_routers` so every worker carries roughly equal *weight*: a live
-/// router (one that will actually be stepped this batch) counts
-/// [`LIVE_WEIGHT`] times an idle one. With gating off every router is
-/// stepped anyway, so the uniform [`range_of`] split is used as-is.
-fn compute_bounds(parts: &EngineParts<'_>, workers: usize, bounds: &mut Vec<u32>) {
-    let n = parts.routers.len();
-    bounds.clear();
-    bounds.push(0);
-    if !parts.gating {
-        for w in 0..workers {
-            bounds.push(range_of(w, workers, n).end as u32);
-        }
-        return;
-    }
-    let slot = parts.arrivals.slot(parts.now);
-    let weight = |r: usize| -> u64 {
-        let live = EngineParts::router_live(true, &parts.routers[r], parts.arrivals.load(r, slot));
-        1 + u64::from(live) * (LIVE_WEIGHT - 1)
-    };
-    let total: u64 = (0..n).map(weight).sum::<u64>().max(1);
-    let mut cum = 0u64;
-    let mut k = 1u64;
-    for r in 0..n {
-        cum += weight(r);
-        // Cut whenever the cumulative weight crosses the next 1/workers
-        // fraction of the total; repeated crossings yield empty ranges.
-        while k < workers as u64 && cum * workers as u64 >= k * total {
-            bounds.push((r + 1) as u32);
-            k += 1;
-        }
-    }
-    while bounds.len() < workers + 1 {
-        bounds.push(n as u32);
-    }
-    bounds[workers] = n as u32;
-}
-
 /// A bulk-synchronous engine executing NoC cycles on `workers` threads.
 ///
 /// Each batch of cycles runs in its own [`std::thread::scope`]: the calling
 /// thread is worker 0 and `workers - 1` scoped threads take the other
-/// router ranges, so no thread outlives the call that drives it. One
+/// equal router ranges, so no thread outlives the call that drives it. One
 /// engine can drive many networks over its lifetime (only one at a time).
 #[derive(Debug)]
 pub struct ParallelEngine {
     workers: usize,
     /// The barrier the workers cross between a batch's cycles.
     barrier: SpinBarrier,
-    /// Range bounds of the current batch (reused across batches).
-    bounds: Vec<u32>,
     /// Releases of the current batch (reused across batches).
     releases: Vec<ReleasedInjection>,
     /// Observability sink; disabled by default. When enabled, each batch
@@ -318,7 +274,6 @@ impl ParallelEngine {
         ParallelEngine {
             workers,
             barrier: SpinBarrier::new(workers),
-            bounds: Vec::new(),
             releases: Vec::new(),
             sink: ObsSink::disabled(),
         }
@@ -335,25 +290,13 @@ impl ParallelEngine {
         self.sink = sink;
     }
 
-    /// Executes exactly one cycle of `net`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Fault`] if a router step panicked on a worker.
-    /// The panic is caught inside the worker, which still crosses every
-    /// barrier, so the engine remains usable — but the network that was
-    /// being stepped must be considered corrupt and rebuilt by the caller.
-    pub fn run_cycle(&mut self, net: &mut NocNetwork) -> Result<(), SimError> {
-        self.run_batch(net, 1)
-    }
-
     /// Executes `cycles` consecutive cycles (1..=[`MAX_BATCH_CYCLES`]) in
     /// one thread scope.
     fn run_batch(&mut self, net: &mut NocNetwork, cycles: u64) -> Result<(), SimError> {
         debug_assert!((1..=MAX_BATCH_CYCLES).contains(&cycles));
         let t0 = net.next_cycle();
         let parts = net.begin_batch(cycles, &mut self.releases);
-        compute_bounds(&parts, self.workers, &mut self.bounds);
+        let (workers, n) = (self.workers, parts.routers.len());
         let batch = Batch {
             topo: parts.topo,
             wires: parts.wires,
@@ -369,16 +312,15 @@ impl ParallelEngine {
             busy_ns: AtomicU64::new(0),
             wait_ns: AtomicU64::new(0),
         };
-        let bounds = &self.bounds;
-        let (own, mut rest) = parts.routers.split_at_mut(bounds[1] as usize);
+        let (own, mut rest) = parts.routers.split_at_mut(range_of(0, workers, n).end);
         let timer = self.sink.enabled().then(Instant::now);
         std::thread::scope(|scope| {
-            for w in 1..self.workers {
-                let (lo, hi) = (bounds[w] as usize, bounds[w + 1] as usize);
-                let (range, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+            for w in 1..workers {
+                let range = range_of(w, workers, n);
+                let (routers, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
                 rest = tail;
                 let batch = &batch;
-                scope.spawn(move || batch.work(w, lo, range));
+                scope.spawn(move || batch.work(w, range.start, routers));
             }
             batch.work(0, 0, own);
         });
@@ -393,19 +335,16 @@ impl ParallelEngine {
         }
         net.finish_batch(cycles, active_bits);
         let releases = self.releases.len() as u64;
-        self.sink.emit(|| {
-            let ranges = bounds.windows(2).map(|w| u64::from(w[1] - w[0]));
-            Event::EngineBatch {
-                t0,
-                cycles,
-                workers: self.workers as u64,
-                barrier_wait_ns,
-                busy_ns,
-                wait_ns,
-                releases,
-                min_range: ranges.clone().min().unwrap_or(0),
-                max_range: ranges.max().unwrap_or(0),
-            }
+        self.sink.emit(|| Event::EngineBatch {
+            t0,
+            cycles,
+            workers: workers as u64,
+            barrier_wait_ns,
+            busy_ns,
+            wait_ns,
+            releases,
+            min_range: range_of(workers - 1, workers, n).len() as u64,
+            max_range: range_of(0, workers, n).len() as u64,
         });
         Ok(())
     }
@@ -416,7 +355,10 @@ impl ParallelEngine {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`SimError::Fault`] from a batch.
+    /// Returns [`SimError::Fault`] if a router step panicked on a worker.
+    /// The panic is caught inside the worker, which still crosses every
+    /// barrier, so the engine remains usable — but the network that was
+    /// being stepped must be considered corrupt and rebuilt by the caller.
     pub fn run_cycles(&mut self, net: &mut NocNetwork, cycles: u64) -> Result<(), SimError> {
         let target = net.next_cycle() + cycles;
         while net.next_cycle() < target {
@@ -442,36 +384,6 @@ impl ParallelEngine {
             self.run_batch(net, batch)?;
         }
         Ok(())
-    }
-
-    /// Runs until the network drains (every in-flight message delivered).
-    ///
-    /// Cycles are executed in batches, so up to [`MAX_BATCH_CYCLES`] − 1
-    /// trailing idle cycles may be simulated past the last delivery.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::Timeout`] if `budget` cycles elapse first;
-    /// * [`SimError::Fault`] if a worker panicked;
-    /// * [`SimError::Invariant`] if a router recorded a violated invariant.
-    pub fn run_until_drained(
-        &mut self,
-        net: &mut NocNetwork,
-        budget: u64,
-    ) -> Result<(), SimError> {
-        use ra_sim::Network;
-        let start = net.next_cycle();
-        while net.in_flight() > 0 {
-            net.check_invariant()?;
-            if net.next_cycle() - start > budget {
-                return Err(SimError::Timeout {
-                    budget,
-                    waiting_for: format!("{} in-flight messages", net.in_flight()),
-                });
-            }
-            self.run_batch(net, MAX_BATCH_CYCLES)?;
-        }
-        net.check_invariant()
     }
 }
 
@@ -535,36 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_bounds_partition_and_favor_live_routers() {
-        use ra_sim::{MessageClass, NetMessage, NodeId};
-        let mut net = NocNetwork::new(NocConfig::new(8, 8)).unwrap();
-        // Load one corner of the mesh only.
-        for i in 0..6 {
-            net.inject(
-                NetMessage::new(i, NodeId(0), NodeId(9), MessageClass::Request, 64),
-                Cycle(0),
-            );
-        }
-        let workers = 4;
-        let mut bounds = Vec::new();
-        let mut releases = Vec::new();
-        let parts = net.begin_batch(1, &mut releases);
-        compute_bounds(&parts, workers, &mut bounds);
-        let n = parts.routers.len() as u32;
-        assert_eq!(bounds.len(), workers + 1);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(bounds[workers], n);
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "{bounds:?}");
-        // The busy corner lives in the low router ids, so the first worker
-        // must own a smaller slice than a uniform split would give it.
-        assert!(
-            bounds[1] < n / workers as u32,
-            "first range not shrunk: {bounds:?}"
-        );
-        net.finish_batch(1, 0);
-    }
-
-    #[test]
     fn parallel_engine_delivers_traffic() {
         let mut net = NocNetwork::new(NocConfig::new(4, 4)).unwrap();
         let mut engine = ParallelEngine::new(3);
@@ -577,9 +459,9 @@ mod tests {
         );
         for now in 0..2_000u64 {
             gen.inject_cycle(&mut net, Cycle(now));
-            engine.run_cycle(&mut net).unwrap();
+            engine.step_cycles(&mut net, 1).unwrap();
         }
-        engine.run_until_drained(&mut net, 100_000).unwrap();
+        engine.run_cycles(&mut net, 1_000).unwrap();
         assert_eq!(net.stats().injected, gen.injected());
         assert_eq!(net.stats().delivered, gen.injected());
     }
@@ -599,7 +481,7 @@ mod tests {
             for now in 0..3_000u64 {
                 gen.inject_cycle(&mut net, Cycle(now));
                 match engine.as_mut() {
-                    Some(e) => e.run_cycle(&mut net).unwrap(),
+                    Some(e) => e.step_cycles(&mut net, 1).unwrap(),
                     None => net.tick(Cycle(now)),
                 }
             }
@@ -628,13 +510,13 @@ mod tests {
             // batches cover busy, draining, and idle windows alike.
             for now in 0..500u64 {
                 gen.inject_cycle(&mut net, Cycle(now));
-                engine.run_cycle(&mut net).unwrap();
+                engine.step_cycles(&mut net, 1).unwrap();
             }
             if batched {
                 engine.run_cycles(&mut net, 2_500).unwrap();
             } else {
                 for _ in 0..2_500 {
-                    engine.run_cycle(&mut net).unwrap();
+                    engine.step_cycles(&mut net, 1).unwrap();
                 }
             }
             net.stats().clone()
@@ -659,9 +541,9 @@ mod tests {
             );
             for now in 0..500u64 {
                 gen.inject_cycle(&mut net, Cycle(now));
-                engine.run_cycle(&mut net).unwrap();
+                engine.step_cycles(&mut net, 1).unwrap();
             }
-            engine.run_until_drained(&mut net, 50_000).unwrap();
+            engine.run_cycles(&mut net, 1_000).unwrap();
             assert_eq!(net.stats().delivered, gen.injected());
         }
     }
@@ -718,8 +600,7 @@ mod tests {
             net
         };
         let mut engine = ParallelEngine::new(3);
-        // Gating off splits uniformly: routers 0..6 are the caller's and
-        // 11..16 the last worker's.
+        // Routers 0..6 are the caller's and 11..16 the last worker's.
         for (router, worker) in [(0, 0), (15, 2)] {
             for cycles in [1, MAX_BATCH_CYCLES] {
                 let mut net = fresh(false);
@@ -736,7 +617,7 @@ mod tests {
                 assert!(detail.contains(&format!("router {router}")), "got {detail}");
 
                 let mut net = fresh(true);
-                engine.run_until_drained(&mut net, 10_000).unwrap();
+                engine.run_cycles(&mut net, 1_000).unwrap();
                 assert_eq!(net.stats().delivered, 1);
             }
         }

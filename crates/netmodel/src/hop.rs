@@ -11,8 +11,6 @@ use ra_sim::{MeshShape, NodeId};
 pub enum HopMetric {
     /// Manhattan distance on a mesh of the given node shape.
     Mesh(MeshShape),
-    /// Wrap-around distance on a torus.
-    Torus(MeshShape),
     /// Concentrated mesh: distance between the routers serving each node.
     CMesh {
         /// Node grid shape.
@@ -40,7 +38,6 @@ impl HopMetric {
     pub fn hops(&self, src: NodeId, dst: NodeId) -> usize {
         match *self {
             HopMetric::Mesh(shape) => shape.mesh_hops(src, dst),
-            HopMetric::Torus(shape) => shape.torus_hops(src, dst),
             HopMetric::CMesh {
                 shape,
                 concentration,
@@ -67,9 +64,6 @@ impl HopMetric {
     pub fn diameter(&self) -> usize {
         match *self {
             HopMetric::Mesh(shape) => shape.diameter(),
-            HopMetric::Torus(shape) => {
-                (shape.cols() as usize / 2) + (shape.rows() as usize / 2)
-            }
             HopMetric::CMesh {
                 shape,
                 concentration,
@@ -81,8 +75,7 @@ impl HopMetric {
     /// Number of endpoints.
     pub fn nodes(&self) -> usize {
         match *self {
-            HopMetric::Mesh(shape) | HopMetric::Torus(shape) => shape.nodes(),
-            HopMetric::CMesh { shape, .. } => shape.nodes(),
+            HopMetric::Mesh(shape) | HopMetric::CMesh { shape, .. } => shape.nodes(),
             HopMetric::Chiplet { islands, island } => islands as usize * island.nodes(),
         }
     }
@@ -107,13 +100,6 @@ mod tests {
         assert_eq!(m.hops(NodeId(0), NodeId(15)), 6);
         assert_eq!(m.diameter(), 6);
         assert_eq!(m.nodes(), 16);
-    }
-
-    #[test]
-    fn torus_metric_wraps() {
-        let m = HopMetric::Torus(MeshShape::new(8, 8).unwrap());
-        assert_eq!(m.hops(NodeId(0), NodeId(7)), 1);
-        assert_eq!(m.diameter(), 8);
     }
 
     #[test]

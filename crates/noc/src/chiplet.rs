@@ -269,7 +269,7 @@ impl ChipletNetwork {
                 .map(|i| {
                     let mut island_cfg = cfg.clone();
                     island_cfg.chiplet = None;
-                    // Decorrelate island-local randomness (O1TURN coin
+                    // Decorrelate island-local randomness (flaky-link coin
                     // flips) the same way the workloads decorrelate
                     // per-core streams.
                     island_cfg.seed =
@@ -790,10 +790,10 @@ mod tests {
     #[test]
     fn chiplet_spec_validation_rejects_bad_shapes() {
         assert!(ChipletNetwork::new(chiplet_cfg(1)).is_err());
-        let torus = NocConfig::new(4, 4)
-            .with_topology(crate::config::TopologyKind::Torus)
+        let cmesh = NocConfig::new(4, 4)
+            .with_topology(crate::config::TopologyKind::CMesh { concentration: 2 })
             .with_chiplet(ChipletSpec::new(2, InterposerClass::Silicon));
-        assert!(ChipletNetwork::new(torus).is_err());
+        assert!(ChipletNetwork::new(cmesh).is_err());
         let bad_faults = NocConfig::new(4, 4).with_chiplet(
             ChipletSpec::new(2, InterposerClass::Silicon)
                 .with_island_faults(vec![FaultPlan::new()]),
@@ -852,9 +852,6 @@ mod tests {
         assert!(ChipletNetwork::new(NocConfig::new(4, 4)).is_ok());
         let configs = [
             NocConfig::new(8, 4),
-            NocConfig::new(8, 4)
-                .with_topology(TopologyKind::Torus)
-                .with_seed(2),
             NocConfig::new(8, 4).with_topology(TopologyKind::CMesh { concentration: 2 }),
             // A link dead from cycle 0 loses nothing: traffic detours.
             NocConfig::new(8, 4).with_faults(FaultPlan::new().kill_link(9, 0, 0)),
@@ -912,8 +909,8 @@ mod tests {
     #[test]
     fn intra_island_traffic_matches_a_standalone_die() {
         // Island 0 inherits the base seed XOR the island-0 constant; give
-        // the standalone reference the identical seed so the O1TURN-style
-        // per-router RNG streams line up.
+        // the standalone reference the identical seed so any seeded
+        // randomness lines up.
         let chip = ChipletNetwork::new(chiplet_cfg(2)).unwrap();
         let island0_seed = chip.islands()[0].config().seed;
         let mut reference = NocNetwork::new(NocConfig::new(4, 4).with_seed(island0_seed)).unwrap();

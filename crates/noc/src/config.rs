@@ -11,9 +11,6 @@ use crate::router::{MAX_PORTS, MAX_VCS, MAX_VC_DEPTH};
 pub enum TopologyKind {
     /// 2-D mesh; XY routing is deadlock-free with a single VC class.
     Mesh,
-    /// 2-D torus with wrap-around links; deadlock freedom via dateline VC
-    /// classes (requires an even number of VCs per virtual network).
-    Torus,
     /// Concentrated mesh: `concentration` nodes share each router.
     CMesh {
         /// Endpoints attached to every router (e.g. 4 for a 2x2 block).
@@ -21,23 +18,9 @@ pub enum TopologyKind {
     },
 }
 
-/// Routing algorithm for 2-D topologies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Routing {
-    /// Dimension-order: X first, then Y. Deadlock-free on a mesh.
-    #[default]
-    Xy,
-    /// Dimension-order: Y first, then X.
-    Yx,
-    /// O1TURN: each packet picks XY or YX uniformly at random, which
-    /// balances load across the two dimension orders. Requires the VC set of
-    /// each virtual network to be split between the two orders for deadlock
-    /// freedom; this implementation dedicates even VCs to XY and odd VCs to
-    /// YX.
-    O1Turn,
-}
-
-/// Complete configuration of the cycle-level NoC.
+/// Complete configuration of the cycle-level NoC. Routing is
+/// dimension-order, X first, then Y: deadlock-free on a mesh and a
+/// concentrated mesh with one VC class.
 ///
 /// Construct with [`NocConfig::new`] and customize via the `with_*` methods,
 /// then validate/build a network with
@@ -46,12 +29,9 @@ pub enum Routing {
 /// # Example
 ///
 /// ```
-/// use ra_noc::{NocConfig, Routing, TopologyKind};
+/// use ra_noc::NocConfig;
 ///
-/// let cfg = NocConfig::new(8, 8)
-///     .with_vcs_per_vnet(4)
-///     .with_vc_depth(4)
-///     .with_routing(Routing::Xy);
+/// let cfg = NocConfig::new(8, 8).with_vcs_per_vnet(4).with_vc_depth(4);
 /// assert_eq!(cfg.shape.nodes(), 64);
 /// cfg.validate().expect("valid configuration");
 /// ```
@@ -62,8 +42,6 @@ pub struct NocConfig {
     pub shape: MeshShape,
     /// Topology kind.
     pub topology: TopologyKind,
-    /// Routing algorithm.
-    pub routing: Routing,
     /// Virtual channels per virtual network (message class).
     pub vcs_per_vnet: u32,
     /// Buffer depth of each VC, in flits.
@@ -72,7 +50,7 @@ pub struct NocConfig {
     pub flit_bytes: u32,
     /// Link traversal latency in cycles (>= 1).
     pub link_latency: u32,
-    /// Seed for allocator/routing randomness (O1TURN packet coin flips).
+    /// Seed for the randomness of scripted faults (flaky-link coin flips).
     pub seed: u64,
     /// Scripted hardware faults (empty = fault-free).
     pub faults: FaultPlan,
@@ -105,7 +83,6 @@ impl NocConfig {
         NocConfig {
             shape: MeshShape::new(cols, rows).expect("mesh dimensions must be positive"),
             topology: TopologyKind::Mesh,
-            routing: Routing::Xy,
             vcs_per_vnet: 4,
             vc_depth: 4,
             flit_bytes: 16,
@@ -121,13 +98,6 @@ impl NocConfig {
     #[must_use]
     pub fn with_topology(mut self, topology: TopologyKind) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Sets the routing algorithm.
-    #[must_use]
-    pub fn with_routing(mut self, routing: Routing) -> Self {
-        self.routing = routing;
         self
     }
 
@@ -207,10 +177,6 @@ impl NocConfig {
     /// Returns a [`ConfigError`] when:
     ///
     /// * any sizing parameter is zero;
-    /// * the topology is a torus and `vcs_per_vnet` is odd (the dateline
-    ///   scheme needs two VC classes);
-    /// * the routing is O1TURN and `vcs_per_vnet < 2` (each dimension order
-    ///   needs its own VCs);
     /// * the topology is a CMesh whose concentration does not evenly divide
     ///   the node grid columns and rows;
     /// * a router's state cannot index it: over 64 VCs per port (21 per vnet),
@@ -227,22 +193,6 @@ impl NocConfig {
         }
         if self.link_latency == 0 {
             return Err(ConfigError::new("link_latency must be at least 1 cycle"));
-        }
-        if matches!(self.topology, TopologyKind::Torus) && !self.vcs_per_vnet.is_multiple_of(2) {
-            return Err(ConfigError::new(
-                "torus dateline deadlock avoidance needs an even vcs_per_vnet",
-            ));
-        }
-        if matches!(self.routing, Routing::O1Turn) && self.vcs_per_vnet < 2 {
-            return Err(ConfigError::new("O1TURN needs at least 2 VCs per vnet"));
-        }
-        if matches!(self.routing, Routing::O1Turn)
-            && matches!(self.topology, TopologyKind::Torus)
-        {
-            return Err(ConfigError::new(
-                "O1TURN on a torus is unsupported (dateline and dimension-order \
-                 VC partitions conflict)",
-            ));
         }
         if let TopologyKind::CMesh { concentration } = self.topology {
             if concentration == 0 {
@@ -302,31 +252,6 @@ mod tests {
         assert!(NocConfig::new(4, 4).with_vc_depth(0).validate().is_err());
         assert!(NocConfig::new(4, 4).with_flit_bytes(0).validate().is_err());
         assert!(NocConfig::new(4, 4).with_link_latency(0).validate().is_err());
-    }
-
-    #[test]
-    fn torus_requires_even_vcs() {
-        let cfg = NocConfig::new(4, 4)
-            .with_topology(TopologyKind::Torus)
-            .with_vcs_per_vnet(3);
-        assert!(cfg.validate().is_err());
-        assert!(cfg.with_vcs_per_vnet(4).validate().is_ok());
-    }
-
-    #[test]
-    fn o1turn_requires_two_vcs() {
-        let cfg = NocConfig::new(4, 4)
-            .with_routing(Routing::O1Turn)
-            .with_vcs_per_vnet(1);
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn o1turn_on_torus_is_rejected() {
-        let cfg = NocConfig::new(4, 4)
-            .with_routing(Routing::O1Turn)
-            .with_topology(TopologyKind::Torus);
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

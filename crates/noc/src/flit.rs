@@ -45,7 +45,7 @@ impl FlitKind {
 /// One flit travelling through the network.
 ///
 /// Flits carry everything a router needs to process them (destination, vnet,
-/// routing metadata), so routers never consult shared packet state — a
+/// VC), so routers never consult shared packet state — a
 /// prerequisite for the data-parallel execution engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Flit {
@@ -62,10 +62,6 @@ pub struct Flit {
     /// VC this flit occupies on the link it is currently traversing
     /// (assigned by the upstream router's VC allocator).
     pub vc: u8,
-    /// Torus dateline class (0 before crossing, 1 after).
-    pub class_bit: u8,
-    /// O1TURN dimension-order choice (0 = XY, 1 = YX), fixed at injection.
-    pub route_hint: u8,
 }
 
 impl Flit {
@@ -77,10 +73,7 @@ impl Flit {
             u32::from(self.dst_router)
                 | u32::from(self.dst_local) << 16
                 | u32::from(self.vnet) << 24,
-            self.kind as u32
-                | u32::from(self.vc) << 8
-                | u32::from(self.class_bit) << 16
-                | u32::from(self.route_hint) << 24,
+            self.kind as u32 | u32::from(self.vc) << 8,
         ]
     }
 
@@ -94,8 +87,6 @@ impl Flit {
             vnet: (dst >> 24) as u8,
             kind: FlitKind::from_bits(meta),
             vc: (meta >> 8) as u8,
-            class_bit: (meta >> 16) as u8,
-            route_hint: (meta >> 24) as u8,
         }
     }
 }
@@ -143,14 +134,12 @@ mod tests {
     /// back alone.
     #[test]
     fn flits_round_trip_through_wire_words() {
-        let maxed: [fn(&mut Flit); 7] = [
+        let maxed: [fn(&mut Flit); 5] = [
             |f| f.pkt = PacketId::MAX,
             |f| f.dst_router = u16::MAX,
             |f| f.dst_local = u8::MAX,
             |f| f.vnet = u8::MAX,
             |f| f.vc = u8::MAX,
-            |f| f.class_bit = u8::MAX,
-            |f| f.route_hint = u8::MAX,
         ];
         let kinds = [
             FlitKind::Head,

@@ -6,9 +6,8 @@
 //! * **Routers** ([`Router`]) with the canonical pipeline — route
 //!   computation, VC allocation, switch allocation, switch traversal — and
 //!   credit-based flow control;
-//! * **Topologies** ([`TopologyMap`]): 2-D mesh, 2-D torus (dateline VC
-//!   classes for deadlock freedom), and concentrated mesh;
-//! * **Routing** ([`Routing`]): XY, YX, and O1TURN dimension-order variants;
+//! * **Topologies** ([`TopologyMap`]): 2-D mesh and concentrated mesh,
+//!   with XY dimension-order routing;
 //! * **Virtual networks**: one per [`MessageClass`](ra_sim::MessageClass),
 //!   so coherence-protocol messages cannot deadlock each other;
 //! * **Synthetic traffic** ([`traffic`]) for isolated (in-vacuum)
@@ -66,7 +65,7 @@ pub mod wire;
 pub use chiplet::{
     ChipletNetwork, ChipletSpec, ChipletWindowSnapshot, InterposerClass, InterposerStats,
 };
-pub use config::{NocConfig, Routing, TopologyKind};
+pub use config::{NocConfig, TopologyKind};
 pub use deflection::{DeflectionConfig, DeflectionNetwork};
 pub use fault::{FaultEvent, FaultPlan};
 pub use flit::{Flit, FlitKind, PacketId};
@@ -77,6 +76,6 @@ pub use network::{
 pub use power::{EnergyBreakdown, EnergyParams};
 pub use router::Router;
 pub use stats::{FaultStats, NocStats};
-pub use topology::{RouteDecision, TopologyMap};
+pub use topology::TopologyMap;
 pub use traffic::{InjectionProcess, TrafficGen, TrafficPattern};
 pub use wire::{Arrivals, Credit, Links, Wire, Wires};

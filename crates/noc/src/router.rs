@@ -65,9 +65,9 @@
 
 use std::collections::VecDeque;
 
-use ra_sim::{MessageClass, Pcg32};
+use ra_sim::MessageClass;
 
-use crate::config::{NocConfig, Routing, TopologyKind};
+use crate::config::NocConfig;
 use crate::fault::FaultState;
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::stats::FaultStats;
@@ -130,7 +130,6 @@ struct LocalIface {
     queues: Vec<VecDeque<PendingPacket>>, // one per vnet
     cur: Vec<Option<ActiveInjection>>,    // one per vnet
     vnet_rr: u32,
-    rng: Pcg32,
 }
 
 /// Counters a single router accumulates; merged by the network each cycle.
@@ -163,8 +162,6 @@ pub struct Router {
     vcs_per_vnet: u32,
     total_vcs: u32,
     vc_depth: u32,
-    routing: Routing,
-    torus: bool,
     // --- per-VC state, struct-of-arrays, indexed `port * total_vcs + vc` ---
     /// Flat flit ring: input VC `i` owns slots `i * vc_depth ..`.
     vc_ring: Vec<Flit>,
@@ -173,8 +170,6 @@ pub struct Router {
     vc_state: Vec<VcState>,
     vc_out_port: Vec<u8>,
     vc_out_vc: Vec<u8>,
-    /// Dateline class the packet will use on the next link.
-    vc_next_class: Vec<u8>,
     /// Credit count of each output VC (the downstream input buffer).
     ovc_credits: Vec<u8>,
     /// Flattened input-VC index owning each output VC ([`NONE_IDX`] = free).
@@ -225,22 +220,18 @@ pub struct Router {
 
 impl Router {
     /// Builds router `id` for the given configuration and topology.
-    pub(crate) fn new(id: u32, cfg: &NocConfig, topo: &TopologyMap, seed: u64) -> Self {
+    pub(crate) fn new(id: u32, cfg: &NocConfig, topo: &TopologyMap) -> Self {
         let ports = topo.ports();
         let locals = topo.concentration();
         let vnets = MessageClass::COUNT as u32;
         let total_vcs = vnets * cfg.vcs_per_vnet;
         let n_vcs = (ports * total_vcs) as usize;
-        let mut rng = Pcg32::new(seed, u64::from(id) * 2 + 1);
         let fault = FaultState::for_router(&cfg.faults, id, topo, cfg.seed);
         let ni = (0..locals)
-            .map(|l| {
-                LocalIface {
-                    queues: (0..vnets).map(|_| VecDeque::new()).collect(),
-                    cur: vec![None; vnets as usize],
-                    vnet_rr: 0,
-                    rng: rng.fork(u64::from(l)),
-                }
+            .map(|_| LocalIface {
+                queues: (0..vnets).map(|_| VecDeque::new()).collect(),
+                cur: vec![None; vnets as usize],
+                vnet_rr: 0,
             })
             .collect();
         Router {
@@ -251,15 +242,12 @@ impl Router {
             vcs_per_vnet: cfg.vcs_per_vnet,
             total_vcs,
             vc_depth: cfg.vc_depth,
-            routing: cfg.routing,
-            torus: matches!(cfg.topology, TopologyKind::Torus),
             vc_ring: vec![Flit::default(); n_vcs * cfg.vc_depth as usize],
             vc_head: vec![0; n_vcs],
             vc_len: vec![0; n_vcs],
             vc_state: vec![VcState::Idle; n_vcs],
             vc_out_port: vec![0; n_vcs],
             vc_out_vc: vec![0; n_vcs],
-            vc_next_class: vec![0; n_vcs],
             ovc_credits: vec![cfg.vc_depth as u8; n_vcs],
             ovc_owner: vec![NONE_IDX; n_vcs],
             masks: vec![VcMasks::default(); ports as usize],
@@ -689,10 +677,6 @@ impl Router {
                         let Some(pending) = self.ni[li].queues[v].pop_front() else {
                             continue;
                         };
-                        let route_hint = match self.routing {
-                            Routing::O1Turn => (self.ni[li].rng.next_u32() & 1) as u8,
-                            _ => 0,
-                        };
                         ActiveInjection {
                             vc: free.trailing_zeros(),
                             sent: 0,
@@ -702,7 +686,6 @@ impl Router {
                                 dst_router: pending.dst_router,
                                 dst_local: pending.dst_local,
                                 vnet: v as u8,
-                                route_hint,
                                 ..Flit::default()
                             },
                         }
@@ -789,8 +772,7 @@ impl Router {
             let vc = nominee[in_port as usize];
             self.sa_vc_ptr[in_port as usize] = if vc + 1 == self.total_vcs { 0 } else { vc + 1 };
             let in_idx = self.ivc_index(in_port, vc);
-            let (out_vc, next_class) =
-                (u32::from(self.vc_out_vc[in_idx]), self.vc_next_class[in_idx]);
+            let out_vc = u32::from(self.vc_out_vc[in_idx]);
             let Some(mut flit) = self.pop_flit(in_port, vc) else {
                 self.poison(format!(
                     "switch traversal from an empty VC on router {} port {in_port} vc {vc}",
@@ -801,7 +783,6 @@ impl Router {
             self.stats.buffer_reads += 1;
             self.stats.sa_grants += 1;
             flit.vc = out_vc as u8;
-            flit.class_bit = next_class;
             let is_local_out = out_port < self.locals;
             let out_idx = self.ivc_index(out_port, out_vc);
             if flit.kind.is_tail() {
@@ -893,13 +874,8 @@ impl Router {
                 continue;
             };
             debug_assert!(head.kind.is_head());
-            let (out_port, vnet, next_class, route_hint) = (
-                u32::from(self.vc_out_port[idx]),
-                u32::from(head.vnet),
-                self.vc_next_class[idx],
-                head.route_hint,
-            );
-            if let Some(out_vc) = self.pick_output_vc(out_port, vnet, next_class, route_hint) {
+            let (out_port, vnet) = (u32::from(self.vc_out_port[idx]), u32::from(head.vnet));
+            if let Some(out_vc) = self.pick_output_vc(out_port, vnet) {
                 let out_idx = self.ivc_index(out_port, out_vc);
                 self.ovc_owner[out_idx] = idx as u16;
                 self.vc_out_vc[idx] = out_vc as u8;
@@ -909,33 +885,11 @@ impl Router {
         }
     }
 
-    /// Chooses a free output VC in the band permitted by vnet, torus
-    /// dateline class, and O1TURN parity.
-    fn pick_output_vc(&self, out_port: u32, vnet: u32, class: u8, hint: u8) -> Option<u32> {
+    /// Chooses the lowest free output VC in the vnet's band.
+    fn pick_output_vc(&self, out_port: u32, vnet: u32) -> Option<u32> {
         let base = vnet * self.vcs_per_vnet;
-        let is_local_out = out_port < self.locals;
-        let (lo, hi, step_parity) = if is_local_out {
-            (base, base + self.vcs_per_vnet, None)
-        } else if self.torus {
-            let half = self.vcs_per_vnet / 2;
-            if class == 1 {
-                (base + half, base + self.vcs_per_vnet, None)
-            } else {
-                (base, base + half, None)
-            }
-        } else if matches!(self.routing, Routing::O1Turn) {
-            (base, base + self.vcs_per_vnet, Some(u32::from(hint)))
-        } else {
-            (base, base + self.vcs_per_vnet, None)
-        };
-        (lo..hi).find(|&vc| {
-            if let Some(parity) = step_parity {
-                if (vc - base) % 2 != parity {
-                    return false;
-                }
-            }
-            self.ovc_owner[self.ivc_index(out_port, vc)] == NONE_IDX
-        })
+        (base..base + self.vcs_per_vnet)
+            .find(|&vc| self.ovc_owner[self.ivc_index(out_port, vc)] == NONE_IDX)
     }
 
     /// Route computation for head flits at the front of idle VCs, occupied
@@ -970,46 +924,16 @@ impl Router {
                     }
                     continue;
                 }
-                let decision = topo.route(self.id, &head);
-                if topo.has_detours()
-                    && decision.out_port != topo.route_base(self.id, &head).out_port
-                {
+                let out_port = topo.route(self.id, &head);
+                if topo.has_detours() && out_port != topo.route_base(self.id, &head) {
                     // Steered off dimension order to dodge a dead link:
                     // a fault survived by routing.
                     self.fault_events.reroutes += 1;
                 }
-                let next_class = if decision.crosses_dateline {
-                    1
-                } else if self.torus {
-                    // Entering a new ring (different dimension than the one
-                    // the flit arrived on, or fresh from the NI) resets the
-                    // dateline class.
-                    let out_dim = self.port_dim(decision.out_port);
-                    let in_dim = self.port_dim(port);
-                    match (in_dim, out_dim) {
-                        (_, None) => 0, // ejecting; class is irrelevant
-                        (None, Some(_)) => 0,
-                        (Some(i), Some(o)) if i != o => 0,
-                        _ => head.class_bit,
-                    }
-                } else {
-                    0
-                };
-                self.vc_out_port[idx] = decision.out_port as u8;
-                self.vc_next_class[idx] = next_class;
+                self.vc_out_port[idx] = out_port as u8;
                 self.set_state(port, vc, VcState::Routed);
             }
         }
-    }
-
-    /// Dimension of a directional port (X = `Some(1)`, Y = `Some(0)`),
-    /// `None` for local ports.
-    fn port_dim(&self, port: u32) -> Option<u8> {
-        if port < self.locals {
-            return None;
-        }
-        // Directions are N(+0), E(+1), S(+2), W(+3): E/W are X moves.
-        Some(((port - self.locals) % 2) as u8)
     }
 }
 
@@ -1054,7 +978,7 @@ mod tests {
     fn mini_router() -> (Router, TopologyMap, NocConfig) {
         let cfg = NocConfig::new(2, 2).with_vcs_per_vnet(2).with_vc_depth(2);
         let topo = TopologyMap::new(&cfg);
-        let r = Router::new(0, &cfg, &topo, 1);
+        let r = Router::new(0, &cfg, &topo);
         (r, topo, cfg)
     }
 
@@ -1209,7 +1133,7 @@ mod tests {
             .with_vc_depth(2)
             .with_faults(FaultPlan::new().stall_router(0, 0, 5));
         let topo = TopologyMap::new(&cfg);
-        let mut r = Router::new(0, &cfg, &topo, 1);
+        let mut r = Router::new(0, &cfg, &topo);
         let mut links = links_of(&topo, &cfg);
         r.enqueue_packet(
             0,

@@ -5,7 +5,7 @@ use std::fmt;
 use crate::error::ConfigError;
 use crate::time::NodeId;
 
-/// Shape of a 2-D mesh (or torus) of network nodes.
+/// Shape of a 2-D mesh of network nodes.
 ///
 /// Provides coordinate/index mapping and hop-distance helpers shared by the
 /// cycle-level NoC, the abstract models (which need hop counts), and the
@@ -96,16 +96,6 @@ impl MeshShape {
         (ax.abs_diff(bx) + ay.abs_diff(by)) as usize
     }
 
-    /// Hop distance on a torus (wrap-around links).
-    #[inline]
-    pub fn torus_hops(&self, a: NodeId, b: NodeId) -> usize {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        let dx = ax.abs_diff(bx).min(self.cols - ax.abs_diff(bx));
-        let dy = ay.abs_diff(by).min(self.rows - ay.abs_diff(by));
-        (dx + dy) as usize
-    }
-
     /// The largest possible mesh hop distance (network diameter).
     #[inline]
     pub const fn diameter(&self) -> usize {
@@ -154,21 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn torus_hops_wrap_around() {
-        let shape = MeshShape::new(4, 4).unwrap();
-        // Opposite corners: mesh needs 6 hops, torus wraps in 2.
-        assert_eq!(shape.torus_hops(NodeId(0), NodeId(15)), 2);
-        assert_eq!(shape.torus_hops(NodeId(0), NodeId(3)), 1);
-    }
-
-    #[test]
     fn hops_are_symmetric() {
         let shape = MeshShape::new(6, 2).unwrap();
         for a in shape.iter() {
             for b in shape.iter() {
                 assert_eq!(shape.mesh_hops(a, b), shape.mesh_hops(b, a));
-                assert_eq!(shape.torus_hops(a, b), shape.torus_hops(b, a));
-                assert!(shape.torus_hops(a, b) <= shape.mesh_hops(a, b));
             }
         }
     }

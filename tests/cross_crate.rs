@@ -20,10 +20,6 @@ fn hop_metric_matches_detailed_topology() {
     let cases = [
         (NocConfig::new(5, 3), HopMetric::Mesh(NocConfig::new(5, 3).shape)),
         (
-            NocConfig::new(6, 4).with_topology(TopologyKind::Torus),
-            HopMetric::Torus(NocConfig::new(6, 4).shape),
-        ),
-        (
             NocConfig::new(8, 2).with_topology(TopologyKind::CMesh { concentration: 2 }),
             HopMetric::CMesh {
                 shape: NocConfig::new(8, 2).shape,

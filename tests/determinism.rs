@@ -18,8 +18,8 @@ use reciprocal_abstraction::obs::{NullRecorder, ObsSink, RingRecorder};
 use reciprocal_abstraction::sim::{Cycle, Network};
 use reciprocal_abstraction::workloads::{AppProfile, AppWorkload};
 
-/// Node-grid shape shared by all cases: 8x4 works for the mesh, the torus,
-/// and a concentration-2 CMesh alike.
+/// Node-grid shape shared by all cases: 8x4 works for the mesh and a
+/// concentration-2 CMesh alike.
 const COLS: u32 = 8;
 const ROWS: u32 = 4;
 /// Cycles with traffic being offered.
@@ -43,7 +43,7 @@ fn run(cfg: NocConfig, seed: u64, workers: Option<usize>) -> NocStats {
     for now in 0..ACTIVE {
         gen.inject_cycle(&mut net, Cycle(now));
         match engine.as_mut() {
-            Some(e) => e.run_cycle(&mut net).unwrap(),
+            Some(e) => e.step_cycles(&mut net, 1).unwrap(),
             None => net.tick(Cycle(now)),
         }
     }
@@ -64,9 +64,8 @@ fn config(topology: TopologyKind, seed: u64, gating: bool) -> NocConfig {
         .with_clock_gating(gating)
 }
 
-const TOPOLOGIES: [TopologyKind; 3] = [
+const TOPOLOGIES: [TopologyKind; 2] = [
     TopologyKind::Mesh,
-    TopologyKind::Torus,
     TopologyKind::CMesh { concentration: 2 },
 ];
 
@@ -120,7 +119,7 @@ fn run_observed(sink: ObsSink, workers: Option<usize>) -> NocStats {
     for now in 0..ACTIVE {
         gen.inject_cycle(&mut net, Cycle(now));
         match engine.as_mut() {
-            Some(e) => e.run_cycle(&mut net).unwrap(),
+            Some(e) => e.step_cycles(&mut net, 1).unwrap(),
             None => net.tick(Cycle(now)),
         }
     }
@@ -197,7 +196,6 @@ proptest! {
     fn any_schedule_matches_serial_reference(
         topology in prop_oneof![
             Just(TopologyKind::Mesh),
-            Just(TopologyKind::Torus),
             Just(TopologyKind::CMesh { concentration: 2 }),
         ],
         workers in prop_oneof![Just(1usize), Just(2usize), Just(4usize), Just(8usize)],
@@ -391,12 +389,21 @@ mod speculative_pipeline {
 /// Multi-die targets must uphold the same contract: a chiplet system —
 /// two mesh islands in lockstep across an interposer, carrying the DNN
 /// pipeline's cross-die tensor traffic — run under reciprocal abstraction
-/// must be bit-identical across worker counts, clock-gating settings, and
-/// with the speculative pipeline on. The island batching and the banded
-/// (on-die vs cross-die) calibration are part of the simulated state, so
-/// they are covered by the same full-fingerprint comparison.
+/// must be bit-identical across clock-gating settings and with the
+/// speculative pipeline on. The island batching and the banded (on-die vs
+/// cross-die) calibration are part of the simulated state, so they are
+/// covered by the same full-fingerprint comparison. A chiplet coupler steps
+/// serially at any `workers`, so the parallel engine is held to the serial
+/// tick on the interposer's lockstep batches directly.
 mod chiplet_matrix {
-    use reciprocal_abstraction::cosim::{InterposerClass, ModeSpec, RunResult, RunSpec, Target};
+    use reciprocal_abstraction::cosim::{
+        InterposerClass, ModeSpec, RecordedMessage, RunResult, RunSpec, Target, TrafficRecord,
+    };
+    use reciprocal_abstraction::fullsys::FullSystem;
+    use reciprocal_abstraction::gpu::ParallelEngine;
+    use reciprocal_abstraction::netmodel::{AbstractNetwork, HopLatency, HopMetric};
+    use reciprocal_abstraction::noc::{ChipletNetwork, InterposerStats, NocStats};
+    use reciprocal_abstraction::sim::{Cycle, Delivery, Network};
     use reciprocal_abstraction::workloads::{DnnSpec, WorkSpec};
 
     use super::speculative_pipeline::{fingerprint, Fingerprint};
@@ -429,18 +436,75 @@ mod chiplet_matrix {
         fingerprint(&serial)
     }
 
-    /// The pinned chiplet matrix: workers in {2, 4} x gating {off, on} x
-    /// two seeds, all bit-identical to the ungated serial reference.
+    /// The DNN pipeline's message stream over the hop model.
+    fn traffic(target: &Target, seed: u64) -> Vec<RecordedMessage> {
+        let workload = WorkSpec::Dnn(DnnSpec::default())
+            .build(target.cores(), target.fullsys.islands, seed)
+            .expect("workload");
+        let metric = HopMetric::Chiplet {
+            islands: target.fullsys.islands,
+            island: target.noc.shape,
+        };
+        let hop = AbstractNetwork::new(HopLatency::default(), metric, target.noc.flit_bytes);
+        let mut sys = FullSystem::new(target.fullsys.clone(), TrafficRecord::new(hop), workload)
+            .expect("full system");
+        sys.run_until_instructions(150, 1_000_000).expect("traffic run");
+        sys.into_network().into_log()
+    }
+
+    /// Replays `log` into a fresh chiplet network in 300-cycle windows, as
+    /// a coupler feeds its quanta, then 3,000 cycles more. Each window is
+    /// stepped by `advance_serial_to`, or with `workers` by `advance_to`
+    /// handing every island's lockstep batch to a [`ParallelEngine`].
+    fn replay(
+        target: &Target,
+        log: &[RecordedMessage],
+        workers: Option<usize>,
+    ) -> (NocStats, InterposerStats, Vec<Delivery>) {
+        let mut net = ChipletNetwork::new(target.noc.clone()).expect("chiplet network");
+        let mut engine = workers.map(ParallelEngine::new);
+        let (mut deliveries, mut next) = (Vec::new(), 0);
+        let last = log.last().expect("traffic").at.0 + 3_000;
+        for end in (299..last).step_by(300) {
+            while let Some(r) = log.get(next).filter(|r| r.at.0 <= end) {
+                net.inject(r.msg, r.at);
+                next += 1;
+            }
+            match engine.as_mut() {
+                None => net.advance_serial_to(end),
+                Some(engine) => net
+                    .advance_to(end, &mut |island, end| {
+                        let cycles = (end + 1).saturating_sub(island.next_cycle());
+                        engine.run_cycles(island, cycles)
+                    })
+                    .expect("engine replay"),
+            }
+            deliveries.extend(net.drain_delivered(Cycle(end)));
+        }
+        assert!(!deliveries.is_empty(), "sterile replay");
+        (net.stats(), net.interposer_stats(), deliveries)
+    }
+
+    /// The pinned chiplet matrix, two seeds by gating off and on: the
+    /// gated coupler against the ungated serial reference on the full
+    /// fingerprint, and the run's traffic stepped by the engine at
+    /// `workers` 2 and 4 against the serial tick on the `NocStats`, the
+    /// interposer counters and every delivery.
     #[test]
     fn chiplet_matrix_is_bit_identical_to_serial() {
         for seed in [1u64, 7] {
             let reference = reference(seed);
-            for workers in [2usize, 4] {
-                for gating in [false, true] {
-                    let candidate = run(&target(gating), seed, workers, false);
+            let gated = run(&target(true), seed, 0, false);
+            assert_eq!(reference, fingerprint(&gated), "chiplet seed {seed} gated");
+            for gating in [false, true] {
+                let target = target(gating);
+                let log = traffic(&target, seed);
+                let serial = replay(&target, &log, None);
+                assert!(serial.1.crossings > 0, "no interposer traffic: seed {seed}");
+                for workers in [2usize, 4] {
                     assert_eq!(
-                        reference,
-                        fingerprint(&candidate),
+                        serial,
+                        replay(&target, &log, Some(workers)),
                         "chiplet seed {seed} workers {workers} gating {gating}"
                     );
                 }
@@ -472,11 +536,13 @@ mod chiplet_matrix {
 /// [`NocStats`] included) and on every recorded `noc_window` and
 /// `quantum_report` event.
 mod parallel_coupler {
-    use reciprocal_abstraction::cosim::{ModeSpec, ReciprocalNetwork, RunResult, RunSpec, Target};
+    use reciprocal_abstraction::cosim::{
+        InterposerClass, ModeSpec, ReciprocalNetwork, RunResult, RunSpec, Target,
+    };
     use reciprocal_abstraction::noc::{NocConfig, NocStats, TopologyKind};
     use reciprocal_abstraction::obs::{Event, ObsSink, RingRecorder};
     use reciprocal_abstraction::sim::{Cycle, MessageClass, NetMessage, Network, NodeId};
-    use reciprocal_abstraction::workloads::AppProfile;
+    use reciprocal_abstraction::workloads::{AppProfile, DnnSpec, WorkSpec};
 
     use super::speculative_pipeline::{fingerprint, Fingerprint};
     use super::TOPOLOGIES;
@@ -568,6 +634,38 @@ mod parallel_coupler {
         for workers in [2usize, 4] {
             assert_eq!(reference, run(workers), "workers {workers}");
         }
+    }
+
+    /// DESIGN.md's schedule table: the coupler builds a parallel engine
+    /// only for a single die with `workers >= 2`. A chiplet target at any
+    /// `workers`, and a single die at `workers=1`, step on the serial tick
+    /// and run no engine batch.
+    #[test]
+    fn only_a_single_die_with_two_workers_runs_engine_batches() {
+        let batches = |target: &Target, work: WorkSpec, workers: usize| {
+            let (sink, ring) = ObsSink::attach(RingRecorder::new(1 << 16));
+            RunSpec::for_work(target, work)
+                .mode(ModeSpec::Reciprocal { quantum: 300, workers, pipeline: false })
+                .instructions(150)
+                .budget(1_000_000)
+                .seed(1)
+                .recorder(sink)
+                .run()
+                .expect("reciprocal run");
+            let ring = ring.lock().unwrap();
+            assert_eq!(ring.seen(), ring.len() as u64, "the ring dropped events");
+            let engine = ring.events().filter(|e| matches!(e, Event::EngineBatch { .. }));
+            engine.count()
+        };
+        let chiplet = Target::chiplet(2, 4, 4, InterposerClass::Silicon);
+        let dnn = || WorkSpec::Dnn(DnnSpec::default());
+        for workers in [2usize, 4] {
+            assert_eq!(batches(&chiplet, dnn(), workers), 0, "chiplet workers {workers}");
+        }
+        let die = Target::cmp(super::COLS, super::ROWS);
+        let water = || WorkSpec::Profile(AppProfile::water());
+        assert_eq!(batches(&die, water(), 1), 0, "single die workers 1");
+        assert!(batches(&die, water(), 2) > 0, "single die workers 2");
     }
 }
 
