@@ -389,7 +389,7 @@ impl Arrivals {
 
     /// Router `r`'s arrival word in `slot`.
     #[inline]
-    pub fn load(&self, r: usize, slot: usize) -> u64 {
+    fn load(&self, r: usize, slot: usize) -> u64 {
         self.word(r, slot).load(Ordering::Relaxed)
     }
 
